@@ -106,8 +106,7 @@ void precision_sweep(MiniSystem& sys) {
     std::vector<real_t> dipole, energy;
   };
   std::vector<Run> runs;
-  for (const Precision p : {Precision::kDouble, Precision::kSingle,
-                            Precision::kSingleCompensated}) {
+  for (const Precision p : {Precision::kDouble, Precision::kSingle}) {
     Run run;
     run.p = p;
     sys.ham->set_exchange_precision(p);

@@ -191,7 +191,7 @@ static void BM_ExchangeBatchSize(benchmark::State& state) {
 BENCHMARK(BM_ExchangeBatchSize)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 // Batched exchange apply swept over the precision policy on one fixed 8x8
-// problem: arg 0/1/2 = kDouble/kSingle/kSingleCompensated.
+// problem: arg 0/1 = kDouble/kSingle.
 static void BM_ExchangePrecision(benchmark::State& state) {
   auto& x = xbench();
   const auto p = static_cast<Precision>(state.range(0));
@@ -212,7 +212,7 @@ static void BM_ExchangePrecision(benchmark::State& state) {
   state.counters["pairFFTs/s"] = benchmark::Counter(
       static_cast<double>(2 * nb * nb), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ExchangePrecision)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ExchangePrecision)->Arg(0)->Arg(1);
 
 static void BM_AceApply(benchmark::State& state) {
   auto& x = xbench();
@@ -320,7 +320,7 @@ void exchange_batch_comparison() {
 }
 
 // Precision head-to-head: the FP64 batched exchange apply vs the FP32
-// pipeline (plain and Kahan-compensated) on the same 8x8 problem. The
+// pipeline on the same 8x8 problem. The
 // acceptance bar is FP32 beating FP64 wall-clock while staying within 1e-6
 // relative of the FP64 result.
 void exchange_precision_comparison() {
@@ -340,8 +340,7 @@ void exchange_precision_comparison() {
   std::vector<Row> rows;
   la::MatC ref;
   const int reps = 20;  // ~2 ms per apply; enough reps to drown scheduler noise
-  for (const Precision p : {Precision::kDouble, Precision::kSingle,
-                            Precision::kSingleCompensated}) {
+  for (const Precision p : {Precision::kDouble, Precision::kSingle}) {
     ham::ExchangeOptions opt;
     opt.precision = p;
     ham::ExchangeOperator xop(x.map, opt);

@@ -1,7 +1,8 @@
-// Overlap pipeline benchmark: serialized (kSync) vs stream-overlapped
-// (HostAsync double-buffered ring) distributed exchange, measured on
-// in-process thread ranks with a synthetic wire model so the transfer time
-// is non-trivial — the one-machine analogue of the paper's Async rows.
+// Overlap pipeline benchmark: serialized (HostSerial Sendrecv ring, every
+// launch inline) vs stream-overlapped (HostAsync double-buffered ring)
+// distributed exchange, measured on in-process thread ranks with a
+// synthetic wire model so the transfer time is non-trivial — the
+// one-machine analogue of the paper's Async rows.
 //
 // Per circulation round the serialized ring pays compute + wire while the
 // pipelined ring pays ~max(compute, wire); the difference is the measured
@@ -30,7 +31,7 @@ int main() {
   // Compute-only reference (no wire): what a circulation costs with free
   // comm.
   const double compute_only = bench::time_exchange_apply(
-      sys, map, backend::Kind::kSync, dist::ExchangePattern::kRing, p);
+      sys, map, backend::Kind::kHostSerial, dist::ExchangePattern::kRing, p);
   // Wire time per slab chosen relative to the compute so the overlap has
   // something real to hide: roughly one circulation's worth of compute in
   // pure transfer (the comm-bound regime of the paper's large runs, where
@@ -42,11 +43,10 @@ int main() {
               p, wire_per_msg * 1e3, compute_only * 1e3);
 
   // Baseline: the fully serialized Sendrecv ring (transfer stalls the hot
-  // path every round). Every overlapped engine is measured against it:
-  //  * host-overlapped  — the legacy kAsyncRing (Isend/Irecv posted before
-  //    the apply, waits after),
-  //  * stream-overlapped — the backend pipeline (comm rounds as tasks on a
-  //    comm stream, double-buffered, waits posted as stream events).
+  // path every round; HostSerial runs each launch inline). The
+  // stream-overlapped engine — comm rounds as tasks on a comm stream,
+  // double-buffered, waits posted as stream events — is measured against
+  // it.
   struct Config {
     const char* engine;
     const char* pattern;
@@ -55,9 +55,7 @@ int main() {
   };
   const Config configs[] = {
       {"serialized", "ring", dist::ExchangePattern::kRing,
-       backend::Kind::kSync},
-      {"host-overlapped", "async", dist::ExchangePattern::kAsyncRing,
-       backend::Kind::kSync},
+       backend::Kind::kHostSerial},
       {"stream-overlapped", "ring", dist::ExchangePattern::kRing,
        backend::Kind::kHostAsync},
       {"stream-overlapped", "async", dist::ExchangePattern::kAsyncRing,

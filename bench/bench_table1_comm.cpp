@@ -277,12 +277,15 @@ int main() {
   {
     const int p = 4;
     const double compute_only = bench::time_exchange_apply(
-        sys, map, backend::Kind::kSync, dist::ExchangePattern::kRing, p);
+        sys, map, backend::Kind::kHostSerial, dist::ExchangePattern::kRing,
+        p);
     ptmpi::set_wire_model(1.2 * compute_only / (p - 1), 0.0);
-    // Baseline: the serialized Sendrecv ring; the stream-pipelined engines
-    // hide the wire wait behind the previous slab's compute.
+    // Baseline: the serialized Sendrecv ring (HostSerial, launches inline);
+    // the stream-pipelined engines hide the wire wait behind the previous
+    // slab's compute.
     const double serialized = bench::time_exchange_apply(
-        sys, map, backend::Kind::kSync, dist::ExchangePattern::kRing, p);
+        sys, map, backend::Kind::kHostSerial, dist::ExchangePattern::kRing,
+        p);
     std::printf("%-20s %-8s %12s %10s\n", "engine", "pattern", "step",
                 "vs serial");
     std::printf("%-20s %-8s %10.2fms %9.2fx\n", "serialized", "ring",

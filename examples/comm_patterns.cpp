@@ -69,14 +69,14 @@ int main(int argc, char** argv) {
   }
 
   // Execution backends: the same ring, serialized vs stream-pipelined.
-  // kSync is the legacy host loop; kHostSerial runs the stream pipeline
-  // inline (the deterministic reference); kHostAsync double-buffers slabs
-  // with the transfer on a comm stream so it overlaps the previous slab's
-  // compute — the paper's GPU scheme modeled on CPU. All three match the
-  // serial operator bit-for-bit on every rank.
+  // kHostSerial runs the stream pipeline inline (the deterministic
+  // reference); kHostAsync double-buffers slabs with the transfer on a comm
+  // stream so it overlaps the previous slab's compute — the paper's GPU
+  // scheme modeled on CPU. Both match the serial operator bit-for-bit on
+  // every rank.
   std::printf("\nexecution backends on the async ring (all bit-identical):\n");
-  for (const auto kind : {backend::Kind::kSync, backend::Kind::kHostSerial,
-                          backend::Kind::kHostAsync}) {
+  for (const auto kind :
+       {backend::Kind::kHostSerial, backend::Kind::kHostAsync}) {
     ham::ExchangeOptions xopt;
     xopt.backend = kind;
     ham::ExchangeOperator bxop(map, xopt);

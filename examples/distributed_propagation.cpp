@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "core/simulation.hpp"
 #include "td/observables.hpp"
@@ -32,16 +33,16 @@ int main() {
               sim.natoms(), sim.nbands(), sim.sphere().npw());
   sim.prepare_ground_state();
 
-  td::PtImOptions opt;
-  opt.dt = 2.0;  // ~48 attoseconds
-  opt.variant = td::PtImVariant::kAce;
-  const int steps = 3;
+  core::RunConfig cfg;
+  cfg.dt = 2.0;  // ~48 attoseconds
+  cfg.variant = td::PtImVariant::kAce;
+  cfg.steps = 3;
 
   // Serial reference.
-  auto prop = sim.make_ptim(opt);
+  auto prop = sim.make_ptim(cfg.ptim());
   auto state = sim.initial_state();
   std::vector<real_t> dip_serial;
-  for (int i = 0; i < steps; ++i) {
+  for (int i = 0; i < cfg.steps; ++i) {
     prop->step(state);
     dip_serial.push_back(sim.dipole_x(state));
   }
@@ -53,20 +54,18 @@ int main() {
   for (const auto pattern :
        {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
         dist::ExchangePattern::kAsyncRing}) {
-    core::Simulation::DistRunOptions dopt;
-    dopt.nranks = 4;
-    dopt.ranks_per_node = 2;
-    dopt.steps = steps;
-    dopt.ptim = opt;
-    dopt.band.pattern = pattern;
-    dopt.band.overlap_shm = true;  // Fig. 6 node-shared overlap staging
-    const auto res = sim.propagate_distributed(dopt);
+    cfg.nranks = 4;
+    cfg.ranks_per_node = 2;
+    cfg.pattern = pattern;
+    cfg.overlap_shm = true;  // Fig. 6 node-shared overlap staging
+    core::MeasurementSet m;
+    m.add("dipole_x", sim.dipole_probe({1.0, 0.0, 0.0}));
+    const auto res = sim.run(cfg, std::move(m));
+    const auto& dipole = res.measurements.series("dipole_x");
 
     real_t max_diff = 0.0;
-    for (int i = 0; i < steps; ++i)
-      max_diff = std::max(max_diff,
-                          std::abs(res.dipole[static_cast<size_t>(i)] -
-                                   dip_serial[static_cast<size_t>(i)]));
+    for (size_t i = 0; i < dipole.size(); ++i)
+      max_diff = std::max(max_diff, std::abs(dipole[i] - dip_serial[i]));
     std::printf("%-10s: max |dipole - serial| = %.2e  (sigma trace %.8f)\n",
                 dist::pattern_name(pattern), max_diff,
                 td::sigma_trace(res.final_state.sigma));

@@ -13,7 +13,6 @@ namespace ptim::backend {
 
 const char* kind_name(Kind k) {
   switch (k) {
-    case Kind::kSync: return "sync";
     case Kind::kHostSerial: return "serial";
     case Kind::kHostAsync: return "async";
   }
@@ -22,23 +21,20 @@ const char* kind_name(Kind k) {
 
 Kind default_kind() {
   // Read once: CI selects the executor default per process via PTIM_BACKEND
-  // ("sync" | "serial" | "async"); unset means the production HostAsync.
+  // ("serial" | "async"); unset means the production HostAsync.
   static const Kind kind = [] {
     const char* env = std::getenv("PTIM_BACKEND");
     if (!env || !*env) return Kind::kHostAsync;
     const std::string v(env);
-    if (v == "sync") return Kind::kSync;
     if (v == "serial" || v == "host_serial") return Kind::kHostSerial;
     if (v == "async" || v == "host_async") return Kind::kHostAsync;
     throw Error("PTIM_BACKEND=\"" + v +
-                "\" is not a backend (expected sync | serial | async)");
+                "\" is not a backend (expected serial | async)");
   }();
   return kind;
 }
 
 Executor& shared_executor(Kind k) {
-  PTIM_CHECK_MSG(k != Kind::kSync,
-                 "the sync path has no executor — it is the absence of one");
   static std::once_flag once_serial, once_async;
   static std::unique_ptr<Executor> serial, async;
   if (k == Kind::kHostSerial) {

@@ -9,8 +9,6 @@
 // executor.hpp and the concrete executors in host_serial.cpp /
 // host_async.cpp.
 //
-//   kSync       — the legacy host-synchronous path: no executor, every
-//                 kernel is a blocking host call (the pre-backend code).
 //   kHostSerial — reference executor: launches run inline at enqueue time,
 //                 trivially deterministic, zero threads.
 //   kHostAsync  — worker-thread stream executor with real event
@@ -19,26 +17,28 @@
 //                 slabs so the wire transfer of slab k+1 overlaps the
 //                 compute of slab k.
 //
-// All three produce bit-identical results (pinned by test_backend): the
-// compute stream serializes the per-slab applies in the same round order
-// the synchronous path uses.
+// Both produce bit-identical results (pinned by test_backend): the
+// compute stream serializes the per-slab applies in round order.
+//
+// Band rotation (dist/rotate) is not an exchange kernel: it keeps the
+// host-synchronous ring of dist/circulate.hpp and takes no executor.
 
 namespace ptim::backend {
 
-enum class Kind { kSync, kHostSerial, kHostAsync };
+enum class Kind { kHostSerial, kHostAsync };
 
 const char* kind_name(Kind k);
 
 // Process default, read once from the PTIM_BACKEND environment variable:
-// "sync" | "serial" | "async" (unset = async). CI runs the backend test
+// "serial" | "async" (unset = async). CI runs the backend test
 // label under both executor defaults this way.
 Kind default_kind();
 
 class Executor;
 
-// Lazily constructed process-wide executor per kind (kSync has none —
-// asking for it throws). Thread-safe; streams created from it are
-// independent, so concurrent ptmpi ranks can share one instance.
+// Lazily constructed process-wide executor per kind. Thread-safe; streams
+// created from it are independent, so concurrent ptmpi ranks can share one
+// instance.
 Executor& shared_executor(Kind k);
 
 }  // namespace ptim::backend

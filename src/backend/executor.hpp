@@ -10,10 +10,9 @@
 //    event dependencies, modeling a GPU queue on CPU. The overlapped ring
 //    exchange (dist/circulate.hpp) is built on this.
 //
-// Launches are host closures standing in for device kernels; the kernel
-// registry (backend/kernels.hpp) wraps the exchange hot-path stages behind
-// this interface in both FP64 and FP32. Per-name launch counts are
-// recorded so tests and benches can assert which kernels actually ran.
+// Launches are host closures standing in for device kernels. Per-name
+// launch counts are recorded so tests and benches can assert which kernels
+// actually ran.
 
 #include <map>
 #include <mutex>

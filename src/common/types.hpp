@@ -24,18 +24,17 @@ using std::size_t;
 inline constexpr cplx I{0.0, 1.0};
 
 // Precision policy for the exact-exchange hot path (ham::ExchangeOptions):
-//   kDouble            — everything in FP64 (the reference),
-//   kSingle            — FP32 pair FFTs/kernels/ring payloads, plain FP64
-//                        accumulation of the exchange contribution,
-//   kSingleCompensated — as kSingle with Kahan-compensated FP64 accumulation
-//                        (guards very long source sums / large batches).
-enum class Precision { kDouble, kSingle, kSingleCompensated };
+//   kDouble — everything in FP64 (the reference),
+//   kSingle — FP32 pair FFTs/kernels/ring payloads, FP64 accumulation of
+//             the exchange contribution.
+// The values are fixed: RunConfig::physics_hash mixes the enum's int value,
+// so renumbering would invalidate saved checkpoints.
+enum class Precision { kDouble = 0, kSingle = 1 };
 
 inline const char* precision_name(Precision p) {
   switch (p) {
     case Precision::kDouble: return "fp64";
     case Precision::kSingle: return "fp32";
-    case Precision::kSingleCompensated: return "fp32k";
   }
   return "?";
 }

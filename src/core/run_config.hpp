@@ -1,11 +1,9 @@
 #pragma once
 // One consolidated run configuration for every propagation driver. The
 // knobs used to be scattered across td::PtImOptions, dist::BandHamOptions,
-// Simulation::DistRunOptions and the set_exchange_* setters, each accreted
-// by a different PR; RunConfig is the single surface Simulation::run,
-// make_ptim and EnsembleDriver consume. The legacy entry points survive as
-// thin wrappers over this struct (and a regression test pins the old and
-// new paths to bitwise-identical trajectories).
+// a distributed-run option bundle and the set_exchange_* setters;
+// RunConfig is the single surface Simulation::run, make_ptim and
+// EnsembleDriver consume.
 //
 // Hash policy (config_hash / physics_hash): the RNG-free hash stored in
 // checkpoints covers exactly the fields that determine the trajectory's
@@ -100,8 +98,8 @@ struct RunConfig {
                            : t_start + static_cast<real_t>(steps) * dt;
   }
 
-  // The legacy option structs, derived. These are the ONLY conversion
-  // points, so old-path wrappers and new-path drivers cannot drift.
+  // The per-layer option structs, derived. These are the ONLY conversion
+  // points, so the serial, distributed and ensemble drivers cannot drift.
   td::PtImOptions ptim() const {
     td::PtImOptions o;
     o.dt = dt;

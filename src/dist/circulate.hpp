@@ -14,15 +14,15 @@
 // overloads never capture a bytes argument).
 //
 // Two execution modes share the round structure:
-//  * synchronous (ex == nullptr) — the legacy host path: each round's
-//    transfer and compute run on the calling thread,
-//  * stream-pipelined (ex != nullptr) — the paper's overlap scheme on the
-//    backend subsystem: slabs are double-buffered, every round's ptmpi
-//    transfer (and its waits) is a task on a `comm` stream, every apply a
-//    task on a `compute` stream, and events order the two — while slab k
-//    is being computed, slab k+1 is on the wire. The per-slab applies are
-//    serialized on the compute stream in the same round order as the
-//    synchronous path, so results are bit-identical in every mode.
+//  * stream-pipelined (ex != nullptr) — the exchange engine, the paper's
+//    overlap scheme on the backend subsystem: slabs are double-buffered,
+//    every round's ptmpi transfer (and its waits) is a task on a `comm`
+//    stream, every apply a task on a `compute` stream, and events order the
+//    two — while slab k is being computed, slab k+1 is on the wire,
+//  * host-synchronous (ex == nullptr) — band rotation's engine
+//    (dist/rotate): each round's transfer and compute run on the calling
+//    thread. The per-slab applies run in the same round order in both
+//    modes, so results are bit-identical.
 //
 // Slab storage is a fixed set of backend::Buffers allocated up front and
 // reused across all p rounds (double buffering) — never per round; the
@@ -35,7 +35,6 @@
 #include "backend/backend.hpp"
 #include "backend/buffer.hpp"
 #include "backend/executor.hpp"
-#include "backend/kernels.hpp"
 #include "common/types.hpp"
 #include "dist/layout.hpp"
 #include "dist/pattern.hpp"
@@ -44,22 +43,12 @@
 
 namespace ptim::dist {
 
-// Execution backend of a circulation: kSync selects the legacy
-// host-synchronous engine (null executor); the host-stream kinds run the
-// stream-pipelined engine with the exchange kernels registered. Shared by
-// the 1-D (exchange_dist) and 2-D slab (slab_exchange) rings so the two
-// paths can never pick different executors for the same options.
-inline backend::Executor* circulation_executor(backend::Kind k) {
-  if (k == backend::Kind::kSync) return nullptr;
-  backend::register_exchange_kernels();
-  return &backend::shared_executor(k);
-}
-
 namespace detail {
 
-// Legacy host-synchronous engine (the pre-backend code path), kept both as
-// the kSync production mode and as the reference the pipelined engine is
-// tested bit-identical against.
+// Host-synchronous engine: band rotation (dist::rotate_bands) circulates
+// through it with no executor on every distributed step. Moving rotation
+// onto the streamed engine is a performance question, not a correctness
+// one — the two are bit-identical.
 template <typename T, typename Apply>
 void circulate_slabs_sync(ptmpi::Comm& c, const std::vector<T>& mine,
                           size_t slab_elems, ExchangePattern pat,
@@ -170,7 +159,7 @@ void circulate_slabs_streamed(ptmpi::Comm& c, const std::vector<T>& mine,
   const int p = c.size();
   const int me = c.rank();
   const size_t slab_bytes = slab_elems * sizeof(T);
-  // Kernel-registry name of the per-slab apply, by slab scalar.
+  // Launch name of the per-slab apply, by slab scalar.
   const char* const apply_kernel = std::is_same_v<T, cplxf>
                                        ? "xchg.apply_slab.fp32"
                                        : "xchg.apply_slab.fp64";

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "backend/executor.hpp"
-#include "backend/kernels.hpp"
 #include "dist/circulate.hpp"
 #include "dist/isdf_dist.hpp"
 #include "dist/rotate.hpp"
@@ -48,7 +47,7 @@ la::MatC diag_circulation(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
                              tgt_local, out, /*accumulate=*/true);
   };
   circulate_slabs(c, src_bands, ng, mine, pat, apply_block,
-                  circulation_executor(xop.options().backend));
+                  &backend::shared_executor(xop.options().backend));
   return out;
 }
 
@@ -90,7 +89,7 @@ la::MatC diag_circulation_gamma(ptmpi::Comm& c,
                                   /*accumulate=*/true);
   };
   circulate_slabs(c, src_bands, ng, mine, pat, apply_block,
-                  circulation_executor(xop.options().backend));
+                  &backend::shared_executor(xop.options().backend));
 
   la::MatC out(tgt_local.rows(), tgt_local.cols(), cplx(0.0));
   for (int o = 0; o < p; ++o) {
@@ -139,7 +138,7 @@ la::MatC mixed_circulation(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
                                  /*accumulate=*/true);
   };
   circulate_slabs(c, src_bands, 2 * ng, mine, pat, apply_block,
-                  circulation_executor(xop.options().backend));
+                  &backend::shared_executor(xop.options().backend));
   return out;
 }
 

@@ -5,7 +5,6 @@
 
 #include "backend/backend.hpp"
 #include "backend/executor.hpp"
-#include "backend/kernels.hpp"
 #include "dist/circulate.hpp"
 
 namespace ptim::dist {
@@ -199,17 +198,14 @@ la::MatC diag_circulation_slab(GridContext& gc,
                                ExchangePattern pat) {
   const size_t nloc = gc.nreal();
   const size_t ntgt = tgt_local.cols();
-  const size_t bs = std::max<size_t>(1, xop.options().batch_size);
-  const bool compensated =
-      std::is_same_v<CS, cplxf> &&
-      xop.options().precision == Precision::kSingleCompensated;
+  const size_t bs = xop.options().batch_size;
 
   const std::vector<CS> mine = to_real_slab_batch<CS>(gc, src_local);
   const std::vector<CS> tgt_r = to_real_slab_single<CS>(gc, tgt_local);
 
   la::MatC out(tgt_local.rows(), ntgt, cplx(0.0));
   std::vector<CS> block(bs * nloc), pen;
-  std::vector<cplx> acc(nloc * ntgt), comp(compensated ? nloc * ntgt : 0);
+  std::vector<cplx> acc(nloc * ntgt);
   std::vector<size_t> active;
 
   auto apply_block = [&](const CS* slab, int origin) {
@@ -221,7 +217,6 @@ la::MatC diag_circulation_slab(GridContext& gc,
       if (d[i] != 0.0) active.push_back(i);
     if (active.empty()) return;
     std::fill(acc.begin(), acc.end(), cplx(0.0));
-    std::fill(comp.begin(), comp.end(), cplx(0.0));
     for (size_t j = 0; j < ntgt; ++j) {
       for (size_t i0 = 0; i0 < active.size(); i0 += bs) {
         const size_t nb = std::min(bs, active.size() - i0);
@@ -229,15 +224,13 @@ la::MatC diag_circulation_slab(GridContext& gc,
                             tgt_r.data() + j * nloc, block.data(), nloc);
         kernel_filter_slab(gc, xop, block.data(), nb, pen);
         xop.accumulate_block(slab, active.data() + i0, d, nb, block.data(),
-                             acc.data() + j * nloc,
-                             compensated ? comp.data() + j * nloc : nullptr,
-                             nloc);
+                             acc.data() + j * nloc, nloc);
       }
     }
     gather_accumulate_slab(gc, xop, acc.data(), ntgt, out);
   };
   circulate_slabs(gc.band(), src_bands, nloc, mine, pat, apply_block,
-                  circulation_executor(xop.options().backend));
+                  &backend::shared_executor(xop.options().backend));
   return out;
 }
 
@@ -252,10 +245,7 @@ la::MatC mixed_circulation_slab(GridContext& gc,
   const size_t nloc = gc.nreal();
   const size_t ntgt = tgt_local.cols();
   const size_t w_me = src_local.cols();
-  const size_t bs = std::max<size_t>(1, xop.options().batch_size);
-  const bool compensated =
-      std::is_same_v<CS, cplxf> &&
-      xop.options().precision == Precision::kSingleCompensated;
+  const size_t bs = xop.options().batch_size;
 
   // Payload per band: [phi_k | theta_k] slab pair, as in the 1-D path.
   const std::vector<CS> phi_r = to_real_slab_batch<CS>(gc, src_local);
@@ -274,7 +264,7 @@ la::MatC mixed_circulation_slab(GridContext& gc,
 
   la::MatC out(tgt_local.rows(), ntgt, cplx(0.0));
   std::vector<CS> phis, thetas, block(bs * nloc), pen;
-  std::vector<cplx> acc(nloc * ntgt), comp(compensated ? nloc * ntgt : 0);
+  std::vector<cplx> acc(nloc * ntgt);
   std::vector<size_t> idx;
 
   auto apply_block = [&](const CS* slab, int origin) {
@@ -292,23 +282,21 @@ la::MatC mixed_circulation_slab(GridContext& gc,
     idx.resize(w);
     for (size_t i = 0; i < w; ++i) idx[i] = i;
     std::fill(acc.begin(), acc.end(), cplx(0.0));
-    std::fill(comp.begin(), comp.end(), cplx(0.0));
     for (size_t j = 0; j < ntgt; ++j) {
       for (size_t i0 = 0; i0 < w; i0 += bs) {
         const size_t nb = std::min(bs, w - i0);
         xop.pair_form_block(phis.data(), idx.data() + i0, nb,
                             tgt_r.data() + j * nloc, block.data(), nloc);
         kernel_filter_slab(gc, xop, block.data(), nb, pen);
-        xop.accumulate_weighted_block(
-            thetas.data(), idx.data() + i0, nb, block.data(),
-            acc.data() + j * nloc,
-            compensated ? comp.data() + j * nloc : nullptr, nloc);
+        xop.accumulate_weighted_block(thetas.data(), idx.data() + i0, nb,
+                                      block.data(), acc.data() + j * nloc,
+                                      nloc);
       }
     }
     gather_accumulate_slab(gc, xop, acc.data(), ntgt, out);
   };
   circulate_slabs(gc.band(), src_bands, 2 * nloc, mine, pat, apply_block,
-                  circulation_executor(xop.options().backend));
+                  &backend::shared_executor(xop.options().backend));
   return out;
 }
 

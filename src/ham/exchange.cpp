@@ -15,23 +15,6 @@ namespace ptim::ham {
 
 namespace {
 
-// Kahan-compensated FP64 add: acc[r] += term with running compensation.
-// Complex add/sub are componentwise, so the classic scheme carries over.
-inline void kahan_add(cplx& acc, cplx& comp, const cplx& term) {
-  const cplx y = term - comp;
-  const cplx t = acc + y;
-  comp = (t - acc) - y;
-  acc = t;
-}
-
-// Real twin for the Γ-point pipeline's real accumulators.
-inline void kahan_add(real_t& acc, real_t& comp, const real_t term) {
-  const real_t y = term - comp;
-  const real_t t = acc + y;
-  comp = (t - acc) - y;
-  acc = t;
-}
-
 // Γ-point realness test: a field counts as real when its largest imaginary
 // component is negligible against its largest real one (complex-to-real FFT
 // round trips leave ~1e-16 relative imaginary dust in FP64, ~1e-7 in FP32;
@@ -52,6 +35,14 @@ bool field_is_real_tol(const C* v, size_t n, double tol) {
 constexpr double kRealTolF64 = 1e-12;
 constexpr double kRealTolF32 = 1e-5;
 
+void check_batch_size(size_t bs) {
+  if (bs == 0)
+    throw Error(
+        "ExchangeOptions::batch_size must be >= 1 (got 0): the batched "
+        "pair-FFT pipeline needs at least one lane; use 1 for the per-pair "
+        "baseline");
+}
+
 }  // namespace
 
 bool ExchangeOperator::field_is_real(const cplx* v, size_t n) {
@@ -67,11 +58,7 @@ ExchangeOperator::ExchangeOperator(const pw::SphereGridMap& wfc_map,
   // Validate the shape-determining knobs here rather than deep inside an
   // apply: a zero batch width or non-positive ISDF rank would otherwise
   // surface as an opaque failure in the hot path.
-  if (opt.batch_size == 0)
-    throw Error(
-        "ExchangeOptions::batch_size must be >= 1 (got 0): the batched "
-        "pair-FFT pipeline needs at least one lane; use 1 for the per-pair "
-        "baseline");
+  check_batch_size(opt.batch_size);
   if (!(opt.isdf_rank_factor > 0.0))
     throw Error(
         "ExchangeOptions::isdf_rank_factor must be positive (Nmu = "
@@ -198,42 +185,16 @@ void ExchangeOperator::pair_accumulate_single(
   }
 }
 
-void ExchangeOperator::kernel_filter_block(cplx* block, size_t nb) const {
-  OBS_SPAN("xchg.kernel_filter", obs::Cat::kFft);
-  const size_t ng = map_->grid().size();
-  const auto& fft3 = map_->grid().fft();
-  const real_t inv_ng = 1.0 / static_cast<real_t>(ng);
-  fft3.forward_batch(block, nb);
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t i = 0; i < nb; ++i)
-    for (size_t r = 0; r < ng; ++r) block[i * ng + r] *= kernel_[r] * inv_ng;
-  fft3.inverse_batch(block, nb);
-  fft_count += static_cast<long>(2 * nb);
-}
-
-void ExchangeOperator::kernel_filter_block(cplxf* block, size_t nb) const {
-  OBS_SPAN("xchg.kernel_filter", obs::Cat::kFft);
-  const size_t ng = map_->grid().size();
-  const auto& fft3 = map_->grid().fft_f32();
-  const realf_t inv_ng = 1.0f / static_cast<realf_t>(ng);
-  fft3.forward_batch(block, nb);
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t i = 0; i < nb; ++i)
-    for (size_t r = 0; r < ng; ++r) block[i * ng + r] *= kernelf_[r] * inv_ng;
-  fft3.inverse_batch(block, nb);
-  fft_count += static_cast<long>(2 * nb);
-}
-
 // --- stage primitives ------------------------------------------------------
-// The four hot-path stages, each the exact loop the fused engines below are
-// assembled from. They are public (and wrapped by backend/kernels as
-// enqueueable stream kernels) so a stage-by-stage composition is
-// bit-identical to the batched applies by construction.
+// The hot-path stages, each the exact loop the fused engines below are
+// assembled from. They are public (and composed by dist/slab_exchange) so a
+// stage-by-stage composition is bit-identical to the batched applies by
+// construction.
 
 template <typename CS>
-void ExchangeOperator::pair_form_block_t(const CS* src_real, const size_t* idx,
-                                         size_t nb, const CS* tgt_real,
-                                         CS* block, size_t nloc) const {
+void ExchangeOperator::pair_form_block(const CS* src_real, const size_t* idx,
+                                       size_t nb, const CS* tgt_real, CS* block,
+                                       size_t nloc) const {
   OBS_SPAN("xchg.pair_form", obs::Cat::kCompute);
   // Pair densities for the whole block, one fused parallel region.
 #pragma omp parallel for schedule(static) collapse(2)
@@ -244,10 +205,36 @@ void ExchangeOperator::pair_form_block_t(const CS* src_real, const size_t* idx,
 }
 
 template <typename CS>
-void ExchangeOperator::accumulate_block_t(const CS* src_real, const size_t* idx,
-                                          const real_t* d, size_t nb,
-                                          const CS* block, cplx* acc,
-                                          cplx* comp, size_t nloc) const {
+void ExchangeOperator::kernel_filter_block(CS* block, size_t nb) const {
+  OBS_SPAN("xchg.kernel_filter", obs::Cat::kFft);
+  using RS = typename CS::value_type;
+  const size_t ng = map_->grid().size();
+  const auto& fft3 = [&]() -> const auto& {
+    if constexpr (std::is_same_v<CS, cplx>)
+      return map_->grid().fft();
+    else
+      return map_->grid().fft_f32();
+  }();
+  const RS* kernel = [&] {
+    if constexpr (std::is_same_v<CS, cplx>)
+      return kernel_.data();
+    else
+      return kernelf_.data();
+  }();
+  const RS inv_ng = RS(1) / static_cast<RS>(ng);
+  fft3.forward_batch(block, nb);
+#pragma omp parallel for schedule(static) collapse(2)
+  for (size_t i = 0; i < nb; ++i)
+    for (size_t r = 0; r < ng; ++r) block[i * ng + r] *= kernel[r] * inv_ng;
+  fft3.inverse_batch(block, nb);
+  fft_count += static_cast<long>(2 * nb);
+}
+
+template <typename CS>
+void ExchangeOperator::accumulate_block(const CS* src_real, const size_t* idx,
+                                        const real_t* d, size_t nb,
+                                        const CS* block, cplx* acc,
+                                        size_t nloc) const {
   OBS_SPAN("xchg.accumulate", obs::Cat::kCompute);
   const size_t ng = map_->grid().size();
   // Fused accumulate over the block; parallel over grid points so the
@@ -257,113 +244,28 @@ void ExchangeOperator::accumulate_block_t(const CS* src_real, const size_t* idx,
     for (size_t i = 0; i < nb; ++i) {
       const size_t s = idx[i];
       // Undo the inverse-FFT 1/Ng scaling (unscaled synthesis wanted).
-      const cplx term = (d[s] * static_cast<real_t>(ng)) *
-                        static_cast<cplx>(src_real[s * nloc + r]) *
-                        static_cast<cplx>(block[i * nloc + r]);
-      if (comp)
-        kahan_add(acc[r], comp[r], term);
-      else
-        acc[r] += term;
+      acc[r] += (d[s] * static_cast<real_t>(ng)) *
+                static_cast<cplx>(src_real[s * nloc + r]) *
+                static_cast<cplx>(block[i * nloc + r]);
     }
   }
 }
 
 template <typename CS>
-void ExchangeOperator::accumulate_weighted_block_t(const CS* weight_real,
-                                                   const size_t* idx, size_t nb,
-                                                   const CS* block, cplx* acc,
-                                                   cplx* comp,
-                                                   size_t nloc) const {
+void ExchangeOperator::accumulate_weighted_block(const CS* weight_real,
+                                                 const size_t* idx, size_t nb,
+                                                 const CS* block, cplx* acc,
+                                                 size_t nloc) const {
   const size_t ng = map_->grid().size();
 #pragma omp parallel for schedule(static)
   for (size_t r = 0; r < nloc; ++r) {
     for (size_t i = 0; i < nb; ++i) {
       // Undo the inverse-FFT 1/Ng scaling (unscaled synthesis wanted).
-      const cplx term = static_cast<real_t>(ng) *
-                        static_cast<cplx>(weight_real[idx[i] * nloc + r]) *
-                        static_cast<cplx>(block[i * nloc + r]);
-      if (comp)
-        kahan_add(acc[r], comp[r], term);
-      else
-        acc[r] += term;
+      acc[r] += static_cast<real_t>(ng) *
+                static_cast<cplx>(weight_real[idx[i] * nloc + r]) *
+                static_cast<cplx>(block[i * nloc + r]);
     }
   }
-}
-
-void ExchangeOperator::pair_form_block(const cplx* src_real, const size_t* idx,
-                                       size_t nb, const cplx* tgt_real,
-                                       cplx* block) const {
-  pair_form_block_t(src_real, idx, nb, tgt_real, block, map_->grid().size());
-}
-void ExchangeOperator::pair_form_block(const cplxf* src_real, const size_t* idx,
-                                       size_t nb, const cplxf* tgt_real,
-                                       cplxf* block) const {
-  pair_form_block_t(src_real, idx, nb, tgt_real, block, map_->grid().size());
-}
-void ExchangeOperator::pair_form_block(const cplx* src_real, const size_t* idx,
-                                       size_t nb, const cplx* tgt_real,
-                                       cplx* block, size_t nloc) const {
-  pair_form_block_t(src_real, idx, nb, tgt_real, block, nloc);
-}
-void ExchangeOperator::pair_form_block(const cplxf* src_real, const size_t* idx,
-                                       size_t nb, const cplxf* tgt_real,
-                                       cplxf* block, size_t nloc) const {
-  pair_form_block_t(src_real, idx, nb, tgt_real, block, nloc);
-}
-void ExchangeOperator::accumulate_block(const cplx* src_real, const size_t* idx,
-                                        const real_t* d, size_t nb,
-                                        const cplx* block, cplx* acc,
-                                        cplx* comp) const {
-  accumulate_block_t(src_real, idx, d, nb, block, acc, comp,
-                     map_->grid().size());
-}
-void ExchangeOperator::accumulate_block(const cplxf* src_real,
-                                        const size_t* idx, const real_t* d,
-                                        size_t nb, const cplxf* block,
-                                        cplx* acc, cplx* comp) const {
-  accumulate_block_t(src_real, idx, d, nb, block, acc, comp,
-                     map_->grid().size());
-}
-void ExchangeOperator::accumulate_block(const cplx* src_real, const size_t* idx,
-                                        const real_t* d, size_t nb,
-                                        const cplx* block, cplx* acc,
-                                        cplx* comp, size_t nloc) const {
-  accumulate_block_t(src_real, idx, d, nb, block, acc, comp, nloc);
-}
-void ExchangeOperator::accumulate_block(const cplxf* src_real,
-                                        const size_t* idx, const real_t* d,
-                                        size_t nb, const cplxf* block,
-                                        cplx* acc, cplx* comp,
-                                        size_t nloc) const {
-  accumulate_block_t(src_real, idx, d, nb, block, acc, comp, nloc);
-}
-void ExchangeOperator::accumulate_weighted_block(const cplx* weight_real,
-                                                 const size_t* idx, size_t nb,
-                                                 const cplx* block, cplx* acc,
-                                                 cplx* comp) const {
-  accumulate_weighted_block_t(weight_real, idx, nb, block, acc, comp,
-                              map_->grid().size());
-}
-void ExchangeOperator::accumulate_weighted_block(const cplxf* weight_real,
-                                                 const size_t* idx, size_t nb,
-                                                 const cplxf* block, cplx* acc,
-                                                 cplx* comp) const {
-  accumulate_weighted_block_t(weight_real, idx, nb, block, acc, comp,
-                              map_->grid().size());
-}
-void ExchangeOperator::accumulate_weighted_block(const cplx* weight_real,
-                                                 const size_t* idx, size_t nb,
-                                                 const cplx* block, cplx* acc,
-                                                 cplx* comp,
-                                                 size_t nloc) const {
-  accumulate_weighted_block_t(weight_real, idx, nb, block, acc, comp, nloc);
-}
-void ExchangeOperator::accumulate_weighted_block(const cplxf* weight_real,
-                                                 const size_t* idx, size_t nb,
-                                                 const cplxf* block, cplx* acc,
-                                                 cplx* comp,
-                                                 size_t nloc) const {
-  accumulate_weighted_block_t(weight_real, idx, nb, block, acc, comp, nloc);
 }
 
 void ExchangeOperator::gather_accumulate(const cplx* acc, cplx* scratch,
@@ -382,10 +284,10 @@ void ExchangeOperator::gather_accumulate(const cplx* acc, cplx* scratch,
 // independently and exactly — no spectrum unscramble anywhere.
 
 template <typename RS, typename CS>
-void ExchangeOperator::pair_pack_block_real_t(const RS* src_real,
-                                              const size_t* idx, size_t nb,
-                                              const RS* tgt_real, CS* block,
-                                              size_t nloc) const {
+void ExchangeOperator::pair_pack_block_real(const RS* src_real,
+                                            const size_t* idx, size_t nb,
+                                            const RS* tgt_real, CS* block,
+                                            size_t nloc) const {
   OBS_SPAN("xchg.pair_form", obs::Cat::kCompute);
   const size_t nlanes = (nb + 1) / 2;
 #pragma omp parallel for schedule(static) collapse(2)
@@ -400,9 +302,10 @@ void ExchangeOperator::pair_pack_block_real_t(const RS* src_real,
 }
 
 template <typename RS, typename CS>
-void ExchangeOperator::accumulate_block_real_t(
-    const RS* src_real, const size_t* idx, const real_t* d, size_t nb,
-    const CS* block, real_t* acc, real_t* comp, size_t nloc) const {
+void ExchangeOperator::accumulate_block_real(const RS* src_real,
+                                             const size_t* idx, const real_t* d,
+                                             size_t nb, const CS* block,
+                                             real_t* acc, size_t nloc) const {
   OBS_SPAN("xchg.accumulate", obs::Cat::kCompute);
   const size_t ng = map_->grid().size();
 #pragma omp parallel for schedule(static)
@@ -413,42 +316,56 @@ void ExchangeOperator::accumulate_block_real_t(
       const real_t u = (i % 2 == 0) ? static_cast<real_t>(z.real())
                                     : static_cast<real_t>(z.imag());
       // Undo the inverse-FFT 1/Ng scaling (unscaled synthesis wanted).
-      const real_t term = (d[s] * static_cast<real_t>(ng)) *
-                          static_cast<real_t>(src_real[s * nloc + r]) * u;
-      if (comp)
-        kahan_add(acc[r], comp[r], term);
-      else
-        acc[r] += term;
+      acc[r] += (d[s] * static_cast<real_t>(ng)) *
+                static_cast<real_t>(src_real[s * nloc + r]) * u;
     }
   }
 }
 
-void ExchangeOperator::pair_pack_block_real(const real_t* src_real,
-                                            const size_t* idx, size_t nb,
-                                            const real_t* tgt_real, cplx* block,
-                                            size_t nloc) const {
-  pair_pack_block_real_t(src_real, idx, nb, tgt_real, block, nloc);
-}
-void ExchangeOperator::pair_pack_block_real(const realf_t* src_real,
-                                            const size_t* idx, size_t nb,
-                                            const realf_t* tgt_real,
-                                            cplxf* block, size_t nloc) const {
-  pair_pack_block_real_t(src_real, idx, nb, tgt_real, block, nloc);
-}
-void ExchangeOperator::accumulate_block_real(const real_t* src_real,
-                                             const size_t* idx,
-                                             const real_t* d, size_t nb,
-                                             const cplx* block, real_t* acc,
-                                             real_t* comp, size_t nloc) const {
-  accumulate_block_real_t(src_real, idx, d, nb, block, acc, comp, nloc);
-}
-void ExchangeOperator::accumulate_block_real(const realf_t* src_real,
-                                             const size_t* idx,
-                                             const real_t* d, size_t nb,
-                                             const cplxf* block, real_t* acc,
-                                             real_t* comp, size_t nloc) const {
-  accumulate_block_real_t(src_real, idx, d, nb, block, acc, comp, nloc);
-}
+// The stage templates are defined here only; these are the scalars the
+// pipelines run (FP64 and FP32 slabs).
+template void ExchangeOperator::pair_form_block(const cplx*, const size_t*,
+                                                size_t, const cplx*, cplx*,
+                                                size_t) const;
+template void ExchangeOperator::pair_form_block(const cplxf*, const size_t*,
+                                                size_t, const cplxf*, cplxf*,
+                                                size_t) const;
+template void ExchangeOperator::kernel_filter_block(cplx*, size_t) const;
+template void ExchangeOperator::kernel_filter_block(cplxf*, size_t) const;
+template void ExchangeOperator::accumulate_block(const cplx*, const size_t*,
+                                                 const real_t*, size_t,
+                                                 const cplx*, cplx*,
+                                                 size_t) const;
+template void ExchangeOperator::accumulate_block(const cplxf*, const size_t*,
+                                                 const real_t*, size_t,
+                                                 const cplxf*, cplx*,
+                                                 size_t) const;
+template void ExchangeOperator::accumulate_weighted_block(const cplx*,
+                                                          const size_t*, size_t,
+                                                          const cplx*, cplx*,
+                                                          size_t) const;
+template void ExchangeOperator::accumulate_weighted_block(const cplxf*,
+                                                          const size_t*, size_t,
+                                                          const cplxf*, cplx*,
+                                                          size_t) const;
+template void ExchangeOperator::pair_pack_block_real(const real_t*,
+                                                     const size_t*, size_t,
+                                                     const real_t*, cplx*,
+                                                     size_t) const;
+template void ExchangeOperator::pair_pack_block_real(const realf_t*,
+                                                     const size_t*, size_t,
+                                                     const realf_t*, cplxf*,
+                                                     size_t) const;
+template void ExchangeOperator::accumulate_block_real(const real_t*,
+                                                      const size_t*,
+                                                      const real_t*, size_t,
+                                                      const cplx*, real_t*,
+                                                      size_t) const;
+template void ExchangeOperator::accumulate_block_real(const realf_t*,
+                                                      const size_t*,
+                                                      const real_t*, size_t,
+                                                      const cplxf*, real_t*,
+                                                      size_t) const;
 
 // Γ-point block engine: blocks of 2*batch_size real densities ride
 // batch_size packed FFT lanes, so the transform workspace matches the
@@ -461,25 +378,21 @@ void ExchangeOperator::pair_accumulate_real_blocks(
     const RS* src_real, const real_t* d, const std::vector<size_t>& active,
     const RS* tgt_real, size_t ntgt, la::MatC& out) const {
   const size_t ng = map_->grid().size();
-  const size_t bs2 = 2 * std::max<size_t>(1, opt_.batch_size);
-  const bool compensated = std::is_same_v<CS, cplxf> &&
-                           opt_.precision == Precision::kSingleCompensated;
+  const size_t bs2 = 2 * opt_.batch_size;
 
   std::vector<CS> block((bs2 / 2) * ng);
-  std::vector<real_t> acc(ng), comp(compensated ? ng : 0);
+  std::vector<real_t> acc(ng);
   std::vector<cplx> acc_c(ng), gathered(out.rows());
   for (size_t j = 0; j < ntgt; ++j) {
     const RS* tj = tgt_real + j * ng;
     std::fill(acc.begin(), acc.end(), real_t(0));
-    std::fill(comp.begin(), comp.end(), real_t(0));
     for (size_t i0 = 0; i0 < active.size(); i0 += bs2) {
       const size_t nb = std::min(bs2, active.size() - i0);
-      pair_pack_block_real_t<RS, CS>(src_real, active.data() + i0, nb, tj,
-                                     block.data(), ng);
+      pair_pack_block_real(src_real, active.data() + i0, nb, tj, block.data(),
+                           ng);
       kernel_filter_block(block.data(), (nb + 1) / 2);
-      accumulate_block_real_t<RS, CS>(src_real, active.data() + i0, d, nb,
-                                      block.data(), acc.data(),
-                                      compensated ? comp.data() : nullptr, ng);
+      accumulate_block_real(src_real, active.data() + i0, d, nb, block.data(),
+                            acc.data(), ng);
     }
 #pragma omp parallel for schedule(static)
     for (size_t r = 0; r < ng; ++r) acc_c[r] = cplx(acc[r], 0.0);
@@ -587,8 +500,7 @@ void ExchangeOperator::apply_diag_realspace_real(const realf_t* src_real,
 // Shared batched block engine for the diag paths, templated over the slab
 // scalar: CS = cplx runs the FP64 pipeline, CS = cplxf the FP32 one (pair
 // forming, FFTs and kernel filter in single precision; every float product
-// is promoted to FP64 exactly once inside the accumulation, which runs
-// plain or Kahan-compensated depending on the policy). batch_size == 1
+// is promoted to FP64 exactly once inside the accumulation). batch_size == 1
 // degenerates to width-1 blocks, preserving the per-pair transform count.
 // The body is a straight-line composition of the stage primitives above.
 template <typename CS>
@@ -599,23 +511,20 @@ void ExchangeOperator::pair_accumulate_blocks(const CS* src_real,
                                               la::MatC& out) const {
   const size_t ng = map_->grid().size();
   const size_t ntgt = tgt.cols();
-  const size_t bs = std::max<size_t>(1, opt_.batch_size);
-  const bool compensated = std::is_same_v<CS, cplxf> &&
-                           opt_.precision == Precision::kSingleCompensated;
+  const size_t bs = opt_.batch_size;
 
   std::vector<CS> tgt_real(ng), block(bs * ng);
-  std::vector<cplx> acc(ng), comp(compensated ? ng : 0), gathered(tgt.rows());
+  std::vector<cplx> acc(ng), gathered(tgt.rows());
   for (size_t j = 0; j < ntgt; ++j) {
     map_->to_real(tgt.col(j), tgt_real.data());
     std::fill(acc.begin(), acc.end(), cplx(0.0));
-    std::fill(comp.begin(), comp.end(), cplx(0.0));
     for (size_t i0 = 0; i0 < active.size(); i0 += bs) {
       const size_t nb = std::min(bs, active.size() - i0);
-      pair_form_block_t(src_real, active.data() + i0, nb, tgt_real.data(),
-                        block.data(), ng);
+      pair_form_block(src_real, active.data() + i0, nb, tgt_real.data(),
+                      block.data(), ng);
       kernel_filter_block(block.data(), nb);
-      accumulate_block_t(src_real, active.data() + i0, d, nb, block.data(),
-                         acc.data(), compensated ? comp.data() : nullptr, ng);
+      accumulate_block(src_real, active.data() + i0, d, nb, block.data(),
+                       acc.data(), ng);
     }
     gather_accumulate(acc.data(), gathered.data(), out.col(j));
   }
@@ -630,9 +539,7 @@ void ExchangeOperator::weighted_blocks(const CS* src_real,
                                        la::MatC& out) const {
   const size_t ng = map_->grid().size();
   const size_t ntgt = tgt.cols();
-  const size_t bs = std::max<size_t>(1, opt_.batch_size);
-  const bool compensated = std::is_same_v<CS, cplxf> &&
-                           opt_.precision == Precision::kSingleCompensated;
+  const size_t bs = opt_.batch_size;
 
   // Every source participates (the weight field carries the sigma
   // contraction), so the stage index list is the identity.
@@ -640,19 +547,17 @@ void ExchangeOperator::weighted_blocks(const CS* src_real,
   for (size_t i = 0; i < nsrc; ++i) idx[i] = i;
 
   std::vector<CS> tgt_real(ng), block(bs * ng);
-  std::vector<cplx> acc(ng), comp(compensated ? ng : 0), gathered(tgt.rows());
+  std::vector<cplx> acc(ng), gathered(tgt.rows());
   for (size_t j = 0; j < ntgt; ++j) {
     map_->to_real(tgt.col(j), tgt_real.data());
     std::fill(acc.begin(), acc.end(), cplx(0.0));
-    std::fill(comp.begin(), comp.end(), cplx(0.0));
     for (size_t i0 = 0; i0 < nsrc; i0 += bs) {
       const size_t nb = std::min(bs, nsrc - i0);
-      pair_form_block_t(src_real, idx.data() + i0, nb, tgt_real.data(),
-                        block.data(), ng);
+      pair_form_block(src_real, idx.data() + i0, nb, tgt_real.data(),
+                      block.data(), ng);
       kernel_filter_block(block.data(), nb);
-      accumulate_weighted_block_t(weight_real, idx.data() + i0, nb,
-                                  block.data(), acc.data(),
-                                  compensated ? comp.data() : nullptr, ng);
+      accumulate_weighted_block(weight_real, idx.data() + i0, nb,
+                                block.data(), acc.data(), ng);
     }
     gather_accumulate(acc.data(), gathered.data(), out.col(j));
   }
@@ -670,16 +575,13 @@ void ExchangeOperator::mixed_naive_blocks(const la::Matrix<CS>& src_real,
                                           la::MatC& out) const {
   const size_t ng = map_->grid().size();
   const size_t nsrc = src_real.cols();
-  const size_t bs = std::max<size_t>(1, opt_.batch_size);
-  const bool compensated = std::is_same_v<CS, cplxf> &&
-                           opt_.precision == Precision::kSingleCompensated;
+  const size_t bs = opt_.batch_size;
 
   std::vector<CS> tgt_real(ng), block(bs * ng);
-  std::vector<cplx> acc(ng), comp(compensated ? ng : 0), gathered(tgt.rows());
+  std::vector<cplx> acc(ng), gathered(tgt.rows());
   for (size_t j = 0; j < tgt.cols(); ++j) {
     map_->to_real(tgt.col(j), tgt_real.data());
     std::fill(acc.begin(), acc.end(), cplx(0.0));
-    std::fill(comp.begin(), comp.end(), cplx(0.0));
     for (size_t k = 0; k < nsrc; ++k) {
       const CS* sk = src_real.col(k);
       std::vector<size_t> active;
@@ -697,13 +599,8 @@ void ExchangeOperator::mixed_naive_blocks(const la::Matrix<CS>& src_real,
         for (size_t r = 0; r < ng; ++r) {
           for (size_t i = 0; i < nb; ++i) {
             const cplx w = sigma(active[i0 + i], k) * static_cast<real_t>(ng);
-            const cplx term =
-                w * static_cast<cplx>(src_real.col(active[i0 + i])[r]) *
-                static_cast<cplx>(block[i * ng + r]);
-            if (compensated)
-              kahan_add(acc[r], comp[r], term);
-            else
-              acc[r] += term;
+            acc[r] += w * static_cast<cplx>(src_real.col(active[i0 + i])[r]) *
+                      static_cast<cplx>(block[i * ng + r]);
           }
         }
       }
@@ -749,6 +646,11 @@ void ExchangeOperator::apply_weighted_realspace(const cplxf* src_real,
   PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
   if (nsrc == 0) return;
   weighted_blocks(src_real, weight_real, nsrc, tgt, out);
+}
+
+void ExchangeOperator::set_batch_size(size_t bs) {
+  check_batch_size(bs);
+  opt_.batch_size = bs;
 }
 
 void ExchangeOperator::set_isdf_rank_factor(real_t c) {
@@ -801,7 +703,7 @@ struct PackedCursor {
   la::MatC* out = nullptr;
   std::vector<size_t> active;    // nonzero-occupation source list
   std::vector<CS> tgt_real;
-  std::vector<cplx> acc, comp, gathered;
+  std::vector<cplx> acc, gathered;
   size_t j = 0;                  // current target column
   size_t i0 = 0;                 // next source block start within `active`
   bool col_open = false;
@@ -813,10 +715,10 @@ struct PackedCursor {
 // per-job accumulation. Uses only the public stage primitives, so each
 // job's per-block arithmetic is the fused engine's by construction.
 template <typename CS>
-void packed_blocks(const ExchangeOperator& x, std::vector<PackedCursor<CS>>& cur,
-                   bool compensated) {
+void packed_blocks(const ExchangeOperator& x,
+                   std::vector<PackedCursor<CS>>& cur) {
   const size_t ng = x.map().grid().size();
-  const size_t bs = std::max<size_t>(1, x.batch_size());
+  const size_t bs = x.batch_size();
   std::vector<CS> block(cur.size() * bs * ng);
   struct Member {
     PackedCursor<CS>* c;
@@ -833,7 +735,6 @@ void packed_blocks(const ExchangeOperator& x, std::vector<PackedCursor<CS>>& cur
       if (!c.col_open) {
         x.map().to_real(c.tgt->col(c.j), c.tgt_real.data());
         std::fill(c.acc.begin(), c.acc.end(), cplx(0.0));
-        std::fill(c.comp.begin(), c.comp.end(), cplx(0.0));
         c.i0 = 0;
         c.col_open = true;
       }
@@ -848,8 +749,7 @@ void packed_blocks(const ExchangeOperator& x, std::vector<PackedCursor<CS>>& cur
     for (const Member& m : members) {
       PackedCursor<CS>& c = *m.c;
       x.accumulate_block(c.src_real.data(), c.active.data() + c.i0, c.d, m.nb,
-                         block.data() + m.off * ng, c.acc.data(),
-                         compensated ? c.comp.data() : nullptr, ng);
+                         block.data() + m.off * ng, c.acc.data(), ng);
       c.i0 += m.nb;
       if (c.i0 >= c.active.size()) {
         x.gather_accumulate(c.acc.data(), c.gathered.data(),
@@ -864,8 +764,7 @@ void packed_blocks(const ExchangeOperator& x, std::vector<PackedCursor<CS>>& cur
 
 template <typename CS>
 void run_packed(const ExchangeOperator& x,
-                const std::vector<ExchangeOperator::DiagApplyJob>& jobs,
-                bool compensated) {
+                const std::vector<ExchangeOperator::DiagApplyJob>& jobs) {
   const size_t ng = x.map().grid().size();
   std::vector<PackedCursor<CS>> cur(jobs.size());
   for (size_t k = 0; k < jobs.size(); ++k) {
@@ -880,11 +779,10 @@ void run_packed(const ExchangeOperator& x,
       if ((*job.d)[i] != 0.0) c.active.push_back(i);
     c.tgt_real.resize(ng);
     c.acc.resize(ng);
-    if (compensated) c.comp.resize(ng);
     c.gathered.resize(job.tgt->rows());
     c.done = c.active.empty() || job.tgt->cols() == 0;
   }
-  packed_blocks(x, cur, compensated);
+  packed_blocks(x, cur);
 }
 
 }  // namespace
@@ -909,12 +807,10 @@ void ExchangeOperator::apply_diag_packed(const std::vector<DiagApplyJob>& jobs,
                        /*accumulate=*/true);
     return;
   }
-  if (opt_.precision != Precision::kDouble) {
-    run_packed<cplxf>(*this, jobs,
-                      opt_.precision == Precision::kSingleCompensated);
-  } else {
-    run_packed<cplx>(*this, jobs, false);
-  }
+  if (opt_.precision != Precision::kDouble)
+    run_packed<cplxf>(*this, jobs);
+  else
+    run_packed<cplx>(*this, jobs);
 }
 
 void ExchangeOperator::apply_mixed_naive(const la::MatC& src,

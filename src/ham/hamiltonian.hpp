@@ -73,9 +73,8 @@ class Hamiltonian {
   // payloads); everything else the Hamiltonian computes stays FP64.
   void set_exchange_precision(Precision p) { xop_.set_precision(p); }
   Precision exchange_precision() const { return xop_.precision(); }
-  // Execution backend of the distributed ring exchange (sync / serial /
-  // async streams); see backend/backend.hpp. Results are bit-identical in
-  // every mode.
+  // Execution backend of the distributed ring exchange (serial / async
+  // streams); see backend/backend.hpp. Results are bit-identical in both.
   void set_exchange_backend(backend::Kind k) { xop_.set_backend(k); }
   backend::Kind exchange_backend() const { return xop_.backend(); }
   // Batched-FFT block width of the exchange pair pipeline (a pure

@@ -16,15 +16,6 @@ namespace ptim::ham::isdf {
 
 namespace {
 
-// Kahan-compensated FP64 add (componentwise over the complex parts), the
-// same scheme as the dense accumulate stage.
-inline void kahan_add(cplx& acc, cplx& comp, const cplx& term) {
-  const cplx y = term - comp;
-  const cplx t = acc + y;
-  comp = (t - acc) - y;
-  acc = t;
-}
-
 // Candidate pool for the QRCP: the top grid points by quasi-density. A
 // factor-4 oversampling keeps the selection quality of the full-grid
 // QRCP while bounding its cost at O(nmu^2 * ncand) — the QRCP is the
@@ -209,21 +200,7 @@ void apply(const ExchangeOperator& x, const Fit& f, const la::MatC& tgt_pts,
   if (nmu == 0 || ntgt == 0) return;
 
   la::MatC acc(ng, ntgt);
-  if (x.precision() == Precision::kSingleCompensated) {
-    // Kahan-compensated contraction over mu, parallel over grid points —
-    // mirrors the compensated dense accumulate.
-#pragma omp parallel for schedule(static)
-    for (size_t r = 0; r < ng; ++r) {
-      for (size_t j = 0; j < ntgt; ++j) {
-        cplx sum(0.0), comp(0.0);
-        for (size_t mu = 0; mu < nmu; ++mu)
-          kahan_add(sum, comp, f.apply_mat(r, mu) * tgt_pts(mu, j));
-        acc(r, j) = sum;
-      }
-    }
-  } else {
-    la::gemm_nn(f.apply_mat, tgt_pts, acc);
-  }
+  la::gemm_nn(f.apply_mat, tgt_pts, acc);
 
   std::vector<cplx> scratch(x.map().sphere().npw());
   for (size_t j = 0; j < ntgt; ++j)
@@ -320,7 +297,7 @@ void apply_diag(const ExchangeOperator& x, const la::MatC& src,
   PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
   if (tgt.cols() == 0) return;
 
-  // Real-space edge, honoring the precision policy: under kSingle* the
+  // Real-space edge, honoring the precision policy: under kSingle the
   // orbitals are rounded through the FP32 transform exactly like kDense;
   // the fit algebra then runs FP64 on the rounded values.
   // When the target block IS the source block (the PT-IM / ACE shape),

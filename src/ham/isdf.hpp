@@ -31,10 +31,9 @@
 //     Precision policy and FFT bookkeeping carry over);
 //  4. assembly of the apply matrix Ng w (.) G.
 //
-// Precision policy: under kSingle* the sources/targets are rounded at the
+// Precision policy: under kSingle the sources/targets are rounded at the
 // real-space edge (exactly like kDense) and the zeta filter runs the FP32
-// batched FFTs; the fit algebra and the final accumulation stay FP64, with
-// the apply contraction Kahan-compensated under kSingleCompensated.
+// batched FFTs; the fit algebra and the final accumulation stay FP64.
 //
 // Everything band-summed is exposed as explicit Gram-block inputs so the
 // band-parallel layer (dist/isdf_dist) can feed deterministically
@@ -101,8 +100,8 @@ Fit fit(const ExchangeOperator& x, std::vector<size_t> points,
 
 // Apply the fitted kernel: tgt_pts (Nmu x ntgt) holds the targets sampled
 // at the interpolation points; column j of out accumulates
-// -alpha * to_sphere(apply_mat * tgt_pts(:, j)), FP64 (Kahan-compensated
-// under kSingleCompensated). out must be pre-zeroed unless accumulating.
+// -alpha * to_sphere(apply_mat * tgt_pts(:, j)), FP64 (one GEMM). out must
+// be pre-zeroed unless accumulating.
 void apply(const ExchangeOperator& x, const Fit& f, const la::MatC& tgt_pts,
            la::MatC& out);
 

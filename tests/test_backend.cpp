@@ -1,9 +1,7 @@
 // The device-execution subsystem: stream/event semantics of both host
-// executors, the kernel registry, stage-kernel composition against the
-// fused exchange apply (bit-identical by construction), and — centrally —
-// bit-identity of the stream-pipelined (overlapped) ring exchange with the
-// legacy synchronous path for all three circulation patterns in both
-// precisions.
+// executors and — centrally — bit-identity of the overlapped HostAsync ring
+// exchange with the inline HostSerial one for all three circulation
+// patterns in both precisions.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +13,6 @@
 
 #include "backend/buffer.hpp"
 #include "backend/executor.hpp"
-#include "backend/kernels.hpp"
 #include "common/timer.hpp"
 #include "dist/circulate.hpp"
 #include "dist/exchange_dist.hpp"
@@ -130,14 +127,12 @@ TEST(HostAsync, TaskExceptionsRethrowOnSynchronize) {
 }
 
 TEST(Backend, DefaultKindAndNames) {
-  EXPECT_STREQ(backend::kind_name(backend::Kind::kSync), "sync");
   EXPECT_STREQ(backend::kind_name(backend::Kind::kHostSerial), "serial");
   EXPECT_STREQ(backend::kind_name(backend::Kind::kHostAsync), "async");
-  // Whatever PTIM_BACKEND selects, the executors for both non-sync kinds
-  // must exist and agree on their kind tags.
+  // Whatever PTIM_BACKEND selects, the executors for both kinds must exist
+  // and agree on their kind tags.
   const backend::Kind def = backend::default_kind();
-  EXPECT_TRUE(def == backend::Kind::kSync ||
-              def == backend::Kind::kHostSerial ||
+  EXPECT_TRUE(def == backend::Kind::kHostSerial ||
               def == backend::Kind::kHostAsync);
   EXPECT_EQ(backend::shared_executor(backend::Kind::kHostSerial).kind(),
             backend::Kind::kHostSerial);
@@ -159,29 +154,7 @@ TEST(Buffer, CountsOnlyRealAllocations) {
   EXPECT_EQ(b.size(), 256u);
 }
 
-// ------------------------------------------------------ kernel registry ----
-
-TEST(KernelRegistry, ExchangeStagesRegisteredInBothPrecisions) {
-  backend::register_exchange_kernels();
-  auto& reg = backend::KernelRegistry::instance();
-  for (const char* stage : {"pair_form", "fft_filter", "accumulate",
-                            "accumulate_weighted", "apply_slab"}) {
-    const auto ks = reg.stage(stage);
-    ASSERT_EQ(ks.size(), 2u) << stage;
-    EXPECT_TRUE(reg.has(std::string("xchg.") + stage + ".fp64"));
-    EXPECT_TRUE(reg.has(std::string("xchg.") + stage + ".fp32"));
-  }
-  // The gather back to the sphere is FP64-only by design.
-  ASSERT_EQ(reg.stage("gather").size(), 1u);
-  EXPECT_TRUE(reg.has("xchg.gather.fp64"));
-  EXPECT_FALSE(reg.has("xchg.gather.fp32"));
-  // Registration is idempotent.
-  const size_t n = reg.list().size();
-  backend::register_exchange_kernels();
-  EXPECT_EQ(reg.list().size(), n);
-}
-
-// ------------------------------------------- stage-kernel composition ----
+// ------------------------------------- overlapped ring bit-identity ----
 
 namespace {
 
@@ -189,91 +162,6 @@ struct XEnv {
   test::TinySystem sys = test::TinySystem::make(3.0);
   pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
 };
-
-// Rebuild ExchangeOperator::apply_diag out of individual stage-kernel
-// launches on a backend stream. Must agree with the fused host apply bit
-// for bit — the stages ARE the apply's building blocks.
-template <typename CS>
-la::MatC staged_apply_diag(backend::Executor& ex,
-                           const ham::ExchangeOperator& xop,
-                           const pw::SphereGridMap& map, const la::MatC& src,
-                           const std::vector<real_t>& d, const la::MatC& tgt) {
-  const size_t ng = map.grid().size();
-  const size_t npw = map.sphere().npw();
-  const size_t bs = xop.options().batch_size;
-  backend::ExchangeKernels<CS> kernels(xop);
-  backend::Stream s = ex.create_stream("staged_apply");
-
-  la::Matrix<CS> src_real;
-  map.to_real_batch(src, src_real);
-  std::vector<size_t> active;
-  for (size_t i = 0; i < src.cols(); ++i)
-    if (d[i] != 0.0) active.push_back(i);
-
-  la::MatC out(npw, tgt.cols(), cplx(0.0));
-  std::vector<CS> tgt_real(ng), block(bs * ng);
-  std::vector<cplx> acc(ng), gathered(npw);
-  for (size_t j = 0; j < tgt.cols(); ++j) {
-    map.to_real(tgt.col(j), tgt_real.data());
-    std::fill(acc.begin(), acc.end(), cplx(0.0));
-    for (size_t i0 = 0; i0 < active.size(); i0 += bs) {
-      const size_t nb = std::min(bs, active.size() - i0);
-      kernels.pair_form(ex, s, src_real.data(), active.data() + i0, nb,
-                        tgt_real.data(), block.data());
-      kernels.fft_filter(ex, s, block.data(), nb);
-      kernels.accumulate(ex, s, src_real.data(), active.data() + i0, d.data(),
-                         nb, block.data(), acc.data(), /*comp=*/nullptr);
-    }
-    kernels.gather(ex, s, acc.data(), gathered.data(), out.col(j));
-    // Host reuses tgt_real/acc for the next target: rejoin per column.
-    ex.synchronize(s);
-  }
-  return out;
-}
-
-}  // namespace
-
-TEST(StageKernels, ComposeToFusedApplyFp64) {
-  XEnv e;
-  ham::ExchangeOperator xop(e.map, {});
-  const size_t npw = e.sys.sphere->npw();
-  const la::MatC src = test::random_orbitals(npw, 5, 910);
-  const la::MatC tgt = test::random_orbitals(npw, 3, 911);
-  const std::vector<real_t> d{1.0, 0.8, 0.5, 0.0, 0.1};
-
-  la::MatC ref(npw, tgt.cols());
-  xop.apply_diag(src, d, tgt, ref);
-
-  for (const auto kind :
-       {backend::Kind::kHostSerial, backend::Kind::kHostAsync}) {
-    auto& ex = backend::shared_executor(kind);
-    const la::MatC out =
-        staged_apply_diag<cplx>(ex, xop, e.map, src, d, tgt);
-    EXPECT_EQ(la::frob_diff(out, ref), 0.0) << backend::kind_name(kind);
-  }
-}
-
-TEST(StageKernels, ComposeToFusedApplyFp32) {
-  XEnv e;
-  ham::ExchangeOptions opt;
-  opt.precision = Precision::kSingle;
-  ham::ExchangeOperator xop(e.map, opt);
-  const size_t npw = e.sys.sphere->npw();
-  const la::MatC src = test::random_orbitals(npw, 4, 920);
-  const la::MatC tgt = test::random_orbitals(npw, 3, 921);
-  const std::vector<real_t> d{1.0, 0.7, 0.3, 0.05};
-
-  la::MatC ref(npw, tgt.cols());
-  xop.apply_diag(src, d, tgt, ref);
-
-  auto& ex = backend::shared_executor(backend::Kind::kHostAsync);
-  const la::MatC out = staged_apply_diag<cplxf>(ex, xop, e.map, src, d, tgt);
-  EXPECT_EQ(la::frob_diff(out, ref), 0.0);
-}
-
-// ------------------------------------- overlapped ring bit-identity ----
-
-namespace {
 
 // Distributed diag exchange under one backend kind; returns all rank
 // blocks concatenated for exact comparison.
@@ -318,7 +206,7 @@ std::vector<la::MatC> run_dist_mixed(const XEnv& e, backend::Kind kind,
 
 }  // namespace
 
-TEST(OverlappedRing, BitIdenticalToSyncAllPatternsBothPrecisions) {
+TEST(OverlappedRing, AsyncBitIdenticalToSerialAllPatternsBothPrecisions) {
   XEnv e;
   const size_t npw = e.sys.sphere->npw();
   const size_t nb = 7;
@@ -331,19 +219,14 @@ TEST(OverlappedRing, BitIdenticalToSyncAllPatternsBothPrecisions) {
          {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
           dist::ExchangePattern::kAsyncRing}) {
       for (const Precision prec : {Precision::kDouble, Precision::kSingle}) {
-        const auto sync = run_dist_diag(e, backend::Kind::kSync, prec, pat, p,
-                                        src, d, tgt);
         const auto serial = run_dist_diag(e, backend::Kind::kHostSerial, prec,
                                           pat, p, src, d, tgt);
         const auto async = run_dist_diag(e, backend::Kind::kHostAsync, prec,
                                          pat, p, src, d, tgt);
         for (int r = 0; r < p; ++r) {
           const auto ri = static_cast<size_t>(r);
-          EXPECT_EQ(la::frob_diff(sync[ri], serial[ri]), 0.0)
-              << "serial " << dist::pattern_name(pat) << " p=" << p
-              << " prec=" << precision_name(prec) << " rank " << r;
-          EXPECT_EQ(la::frob_diff(sync[ri], async[ri]), 0.0)
-              << "async " << dist::pattern_name(pat) << " p=" << p
+          EXPECT_EQ(la::frob_diff(serial[ri], async[ri]), 0.0)
+              << dist::pattern_name(pat) << " p=" << p
               << " prec=" << precision_name(prec) << " rank " << r;
         }
       }
@@ -361,12 +244,12 @@ TEST(OverlappedRing, MoreRanksThanBands) {
   const int p = 5;
   for (const auto pat :
        {dist::ExchangePattern::kRing, dist::ExchangePattern::kAsyncRing}) {
-    const auto sync = run_dist_diag(e, backend::Kind::kSync,
-                                    Precision::kDouble, pat, p, src, d, tgt);
+    const auto serial = run_dist_diag(e, backend::Kind::kHostSerial,
+                                      Precision::kDouble, pat, p, src, d, tgt);
     const auto async = run_dist_diag(e, backend::Kind::kHostAsync,
                                      Precision::kDouble, pat, p, src, d, tgt);
     for (int r = 0; r < p; ++r)
-      EXPECT_EQ(la::frob_diff(sync[static_cast<size_t>(r)],
+      EXPECT_EQ(la::frob_diff(serial[static_cast<size_t>(r)],
                               async[static_cast<size_t>(r)]),
                 0.0)
           << dist::pattern_name(pat) << " rank " << r;
@@ -387,12 +270,12 @@ TEST(OverlappedRing, MixedWeightedPathBitIdentical) {
        {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
         dist::ExchangePattern::kAsyncRing}) {
     for (const Precision prec : {Precision::kDouble, Precision::kSingle}) {
-      const auto sync = run_dist_mixed(e, backend::Kind::kSync, prec, pat, p,
-                                       src, theta, tgt);
+      const auto serial = run_dist_mixed(e, backend::Kind::kHostSerial, prec,
+                                         pat, p, src, theta, tgt);
       const auto async = run_dist_mixed(e, backend::Kind::kHostAsync, prec,
                                         pat, p, src, theta, tgt);
       for (int r = 0; r < p; ++r)
-        EXPECT_EQ(la::frob_diff(sync[static_cast<size_t>(r)],
+        EXPECT_EQ(la::frob_diff(serial[static_cast<size_t>(r)],
                                 async[static_cast<size_t>(r)]),
                   0.0)
             << dist::pattern_name(pat) << " prec=" << precision_name(prec)

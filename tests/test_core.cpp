@@ -91,7 +91,8 @@ TEST(Simulation, PropagateOneStepThroughApi) {
   auto& sim = shared_sim();
   td::LaserParams lp;
   lp.e0 = 0.01;
-  sim.set_laser(lp, 10.0);
+  sim.set_laser(lp);
+  ASSERT_NE(sim.resolve_laser(10.0), nullptr);
   td::PtImOptions opt;
   opt.dt = 2.0;
   opt.variant = td::PtImVariant::kAce;
@@ -103,6 +104,31 @@ TEST(Simulation, PropagateOneStepThroughApi) {
   EXPECT_NEAR(state.time, 2.0, 1e-12);
   EXPECT_TRUE(std::isfinite(sim.dipole_x(state)));
   EXPECT_LT(std::abs(sim.dipole_x(state) - d0), 0.5);  // gentle kick only
+}
+
+TEST(Simulation, ZeroExchangeBatchRejectedBeforeAnyStep) {
+  // exchange_batch = 0 must be rejected the same way by serial and
+  // distributed runs: up front, before a step or a probe runs, leaving the
+  // configured width untouched (not clamped to 1 serially while the rank
+  // threads throw).
+  auto& sim = shared_sim();
+  const size_t bs = sim.exchange_batch();
+  for (const int nranks : {1, 2}) {
+    core::RunConfig cfg;
+    cfg.steps = 1;
+    cfg.nranks = nranks;
+    cfg.exchange_batch = 0;
+    int samples = 0;
+    core::MeasurementSet m;
+    m.add("count", [&samples](const core::MeasureContext&) {
+      ++samples;
+      return 0.0;
+    });
+    EXPECT_THROW(sim.run(cfg, std::move(m)), Error) << "nranks=" << nranks;
+    EXPECT_EQ(samples, 0) << "nranks=" << nranks;
+    EXPECT_EQ(sim.exchange_batch(), bs);
+    EXPECT_EQ(sim.spec().ham.exchange.batch_size, bs);
+  }
 }
 
 TEST(PtCn, FrozenSigmaMode) {

@@ -167,21 +167,30 @@ TEST_P(ExchangePatternParam, MatchesSerialOperator) {
   la::MatC ref(npw, nb);
   e.xop.apply_diag(src, d, tgt, ref);
 
+  // Both executors, explicitly: the serial operator is the independent
+  // reference for each, whatever PTIM_BACKEND defaults to.
   const dist::BlockLayout bands(nb, p);
-  std::vector<la::MatC> blocks(static_cast<size_t>(p));
-  ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
-    blocks[static_cast<size_t>(c.rank())] =
-        dist::exchange_apply_distributed(c, e.xop, src, d, tgt, pattern);
-  });
+  for (const auto kind :
+       {backend::Kind::kHostSerial, backend::Kind::kHostAsync}) {
+    ham::ExchangeOptions opt;
+    opt.backend = kind;
+    const ham::ExchangeOperator xop(e.map, opt);
+    std::vector<la::MatC> blocks(static_cast<size_t>(p));
+    ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
+      blocks[static_cast<size_t>(c.rank())] =
+          dist::exchange_apply_distributed(c, xop, src, d, tgt, pattern);
+    });
 
-  for (int r = 0; r < p; ++r) {
-    const auto& blk = blocks[static_cast<size_t>(r)];
-    ASSERT_EQ(blk.cols(), bands.count(r));
-    for (size_t b = 0; b < bands.count(r); ++b)
-      for (size_t i = 0; i < npw; ++i)
-        EXPECT_NEAR(std::abs(blk(i, b) - ref(i, bands.offset(r) + b)), 0.0,
-                    1e-10)
-            << dist::pattern_name(pattern) << " p=" << p;
+    for (int r = 0; r < p; ++r) {
+      const auto& blk = blocks[static_cast<size_t>(r)];
+      ASSERT_EQ(blk.cols(), bands.count(r));
+      for (size_t b = 0; b < bands.count(r); ++b)
+        for (size_t i = 0; i < npw; ++i)
+          EXPECT_NEAR(std::abs(blk(i, b) - ref(i, bands.offset(r) + b)), 0.0,
+                      1e-10)
+              << backend::kind_name(kind) << " "
+              << dist::pattern_name(pattern) << " p=" << p;
+    }
   }
 }
 
@@ -429,6 +438,30 @@ TEST_P(RotateParam, MatchesSerialGemm) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, RotateParam,
                          ::testing::Values(1, 2, 3, 4, 9));
 
+TEST(Rotate, ReusesPersistentSlabBuffers) {
+  // Band rotation circulates through the host-synchronous engine, which
+  // must hold its slabs in persistent buffers too: 1 per rank for Bcast, 2
+  // per rank (cur/nxt) for the rings, whatever the round count.
+  const size_t npw = 29, nb = 6;
+  const la::MatC a = test::random_matrix(npw, nb, 530);
+  const la::MatC r = test::random_matrix(nb, nb, 531);
+  for (const int p : {2, 3, 6}) {
+    const dist::BlockLayout bands(nb, p);
+    for (const auto pat :
+         {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
+          dist::ExchangePattern::kAsyncRing}) {
+      const long before = backend::buffer_alloc_count();
+      ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
+        (void)dist::rotate_bands(c, dist::scatter_bands(a, bands, c.rank()),
+                                 r, bands, pat);
+      });
+      const long per_rank = pat == dist::ExchangePattern::kBcast ? 1 : 2;
+      EXPECT_EQ(backend::buffer_alloc_count() - before, per_rank * p)
+          << dist::pattern_name(pat) << " p=" << p;
+    }
+  }
+}
+
 TEST(Rotate, SolveUpperRightDistributedMatchesSerial) {
   const size_t npw = 33, nb = 6;
   const la::MatC a = test::random_matrix(npw, nb, 520);
@@ -573,14 +606,17 @@ TEST(ExchangeDist, RingReusesPersistentSlabBuffers) {
   // buffering), never reallocating per round — on a device backend a
   // per-round allocation would serialize the streams. The global
   // backend::Buffer allocation counter makes the property observable:
-  // rings cost exactly 2 buffers per rank, Bcast 1, independent of the
-  // number of rounds, in both the sync and the stream-pipelined engines.
+  // the stream-pipelined engine double-buffers every pattern, exactly 2
+  // buffers per rank independent of the number of rounds, on both
+  // executors. (Rotation's host-synchronous engine is pinned in
+  // Rotate.ReusesPersistentSlabBuffers.)
   XEnv e;
   const size_t npw = e.sys.sphere->npw();
   const la::MatC src = test::random_orbitals(npw, 6, 460);
   const std::vector<real_t> d{1.0, 0.8, 0.6, 0.4, 0.2, 0.1};
 
-  for (const auto kind : {backend::Kind::kSync, backend::Kind::kHostAsync}) {
+  for (const auto kind :
+       {backend::Kind::kHostSerial, backend::Kind::kHostAsync}) {
     ham::ExchangeOptions opt;
     opt.backend = kind;
     ham::ExchangeOperator xop(e.map, opt);
@@ -592,16 +628,9 @@ TEST(ExchangeDist, RingReusesPersistentSlabBuffers) {
         ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
           (void)dist::exchange_apply_distributed(c, xop, src, d, src, pat);
         });
-        // Pipelined engines double-buffer every pattern; the sync engine
-        // single-buffers Bcast. Assert the exact TOTAL so a single rank
-        // over-allocating cannot hide in integer division.
-        const long expected_per_rank =
-            (kind == backend::Kind::kSync &&
-             pat == dist::ExchangePattern::kBcast)
-                ? 1
-                : 2;
-        EXPECT_EQ(backend::buffer_alloc_count() - before,
-                  expected_per_rank * p)
+        // Assert the exact TOTAL so a single rank over-allocating cannot
+        // hide in integer division.
+        EXPECT_EQ(backend::buffer_alloc_count() - before, 2L * p)
             << backend::kind_name(kind) << " " << dist::pattern_name(pat)
             << " p=" << p;
       }

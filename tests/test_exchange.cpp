@@ -356,8 +356,7 @@ TEST(ExchangeGamma, ComplexOrbitalsFallBackBitwise) {
 
 TEST(ExchangeGamma, ComposesWithFp32Precision) {
   // The FP32 pipeline takes the same packed real path: halved transform
-  // count, FP32-level agreement with the FP64 gamma apply, and the
-  // compensated policy stays within the plain-single envelope.
+  // count, FP32-level agreement with the FP64 gamma apply.
   test::TinySystem sys = test::TinySystem::make(3.0);
   pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
   const size_t npw = sys.sphere->npw();
@@ -372,17 +371,14 @@ TEST(ExchangeGamma, ComposesWithFp32Precision) {
   la::MatC ref(npw, 2);
   xg.apply_diag(phi, d, tgt, ref);
 
-  for (const auto prec :
-       {Precision::kSingle, Precision::kSingleCompensated}) {
-    ham::ExchangeOptions opt = go;
-    opt.precision = prec;
-    ham::ExchangeOperator xf(map, opt);
-    la::MatC out(npw, 2);
-    xf.fft_count = 0;
-    xf.apply_diag(phi, d, tgt, out);
-    EXPECT_EQ(xf.fft_count, static_cast<long>(2 * ((nb + 1) / 2) * 2));
-    EXPECT_LT(la::frob_diff(out, ref), 1e-5 * la::frob_norm(ref));
-  }
+  ham::ExchangeOptions opt = go;
+  opt.precision = Precision::kSingle;
+  ham::ExchangeOperator xf(map, opt);
+  la::MatC out(npw, 2);
+  xf.fft_count = 0;
+  xf.apply_diag(phi, d, tgt, out);
+  EXPECT_EQ(xf.fft_count, static_cast<long>(2 * ((nb + 1) / 2) * 2));
+  EXPECT_LT(la::frob_diff(out, ref), 1e-5 * la::frob_norm(ref));
 }
 
 TEST(ExchangeGamma, IsdfCompressionUnaffectedByFlag) {

@@ -3,7 +3,6 @@
 //  * apply_diag / apply_mixed_diag / apply_mixed_naive agree to 1e-6
 //    relative (the paper-class bound: FP32 exchange error is far below the
 //    PT-IM integrator tolerance),
-//  * the Kahan-compensated mode is at least as accurate,
 //  * FFT counts are identical in every mode (precision changes the scalar
 //    type, not the algorithm),
 //  * the FP32 sphere<->grid transforms round-trip at float accuracy,
@@ -67,14 +66,10 @@ TEST(PrecisionExchange, ApplyDiagSingleMatchesDouble) {
   x64.apply_diag(phi, d, tgt, ref);
   const real_t scale = std::max(la::frob_norm(ref), real_t(1.0));
 
-  for (const Precision p :
-       {Precision::kSingle, Precision::kSingleCompensated}) {
-    const auto x32 = make_xop(map, p);
-    la::MatC out(npw, 4);
-    x32.apply_diag(phi, d, tgt, out);
-    EXPECT_LE(la::frob_diff(out, ref), 1e-6 * scale)
-        << "precision=" << precision_name(p);
-  }
+  const auto x32 = make_xop(map, Precision::kSingle);
+  la::MatC out(npw, 4);
+  x32.apply_diag(phi, d, tgt, out);
+  EXPECT_LE(la::frob_diff(out, ref), 1e-6 * scale);
 }
 
 TEST(PrecisionExchange, ApplyMixedDiagWithinRelativeBound) {
@@ -93,14 +88,10 @@ TEST(PrecisionExchange, ApplyMixedDiagWithinRelativeBound) {
   x64.apply_mixed_diag(phi, sigma, tgt, ref);
   const real_t scale = std::max(la::frob_norm(ref), real_t(1.0));
 
-  for (const Precision p :
-       {Precision::kSingle, Precision::kSingleCompensated}) {
-    const auto x32 = make_xop(map, p);
-    la::MatC out(npw, 3);
-    x32.apply_mixed_diag(phi, sigma, tgt, out);
-    EXPECT_LE(la::frob_diff(out, ref), 1e-6 * scale)
-        << "precision=" << precision_name(p);
-  }
+  const auto x32 = make_xop(map, Precision::kSingle);
+  la::MatC out(npw, 3);
+  x32.apply_mixed_diag(phi, sigma, tgt, out);
+  EXPECT_LE(la::frob_diff(out, ref), 1e-6 * scale);
 }
 
 TEST(PrecisionExchange, ApplyMixedNaiveMatchesDouble) {
@@ -123,28 +114,6 @@ TEST(PrecisionExchange, ApplyMixedNaiveMatchesDouble) {
   EXPECT_LE(la::frob_diff(out, ref), 1e-6 * scale);
   // The triple-loop transform count is precision-independent.
   EXPECT_EQ(x32.fft_count, x64.fft_count);
-}
-
-TEST(PrecisionExchange, CompensatedNoWorseThanPlainSingle) {
-  // Kahan compensation can only tighten the FP64 accumulation; with many
-  // sources the compensated error must not exceed the plain-single error
-  // by more than rounding noise.
-  test::TinySystem sys = test::TinySystem::make(3.0);
-  pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
-  const size_t npw = sys.sphere->npw();
-  const size_t nb = 12;
-  const la::MatC phi = test::random_orbitals(npw, nb, 909);
-  const std::vector<real_t> d(nb, 0.5);
-  const la::MatC tgt = test::random_orbitals(npw, 2, 910);
-
-  la::MatC ref(npw, 2), plain(npw, 2), comp(npw, 2);
-  make_xop(map, Precision::kDouble).apply_diag(phi, d, tgt, ref);
-  make_xop(map, Precision::kSingle).apply_diag(phi, d, tgt, plain);
-  make_xop(map, Precision::kSingleCompensated).apply_diag(phi, d, tgt, comp);
-
-  const real_t err_plain = la::frob_diff(plain, ref);
-  const real_t err_comp = la::frob_diff(comp, ref);
-  EXPECT_LE(err_comp, err_plain * (1.0 + 1e-6) + 1e-12);
 }
 
 TEST(PrecisionExchange, FftCountsIdenticalAcrossPrecisions) {
@@ -247,14 +216,10 @@ TEST(PrecisionExchange, BluesteinGridBothPrecisions) {
   EXPECT_LE(la::frob_diff(ref_single, ref), 1e-10);
 
   const real_t scale = std::max(la::frob_norm(ref), real_t(1.0));
-  for (const Precision p :
-       {Precision::kSingle, Precision::kSingleCompensated}) {
-    const auto x32 = make_xop(map, p);
-    la::MatC out(npw, 2);
-    x32.apply_diag(phi, d, tgt, out);
-    EXPECT_LE(la::frob_diff(out, ref), 1e-5 * scale)
-        << "precision=" << precision_name(p);
-  }
+  const auto x32 = make_xop(map, Precision::kSingle);
+  la::MatC out(npw, 2);
+  x32.apply_diag(phi, d, tgt, out);
+  EXPECT_LE(la::frob_diff(out, ref), 1e-5 * scale);
 }
 
 // ------------------------------------------------- distributed ring -----

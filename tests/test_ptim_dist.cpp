@@ -225,33 +225,31 @@ TEST(PtImDist, SimulationDistributedMatchesSerial) {
   core::Simulation sim(spec);
   sim.prepare_ground_state();
 
-  td::PtImOptions opt;
-  opt.dt = 0.5;
-  opt.tol = 1e-7;
-  opt.variant = td::PtImVariant::kAce;
+  core::RunConfig cfg;
+  cfg.dt = 0.5;
+  cfg.tol = 1e-7;
+  cfg.variant = td::PtImVariant::kAce;
+  cfg.steps = 3;
 
-  const int steps = 3;
   td::TdState s = sim.initial_state();
-  auto prop = sim.make_ptim(opt);
+  auto prop = sim.make_ptim(cfg.ptim());
   std::vector<real_t> dip_serial;
-  for (int i = 0; i < steps; ++i) {
+  for (int i = 0; i < cfg.steps; ++i) {
     prop->step(s);
     dip_serial.push_back(sim.dipole_x(s));
   }
 
-  core::Simulation::DistRunOptions dopt;
-  dopt.nranks = 3;
-  dopt.ranks_per_node = 2;
-  dopt.steps = steps;
-  dopt.ptim = opt;
-  dopt.band.pattern = dist::ExchangePattern::kAsyncRing;
-  const auto res = sim.propagate_distributed(dopt);
+  cfg.nranks = 3;
+  cfg.ranks_per_node = 2;
+  cfg.pattern = dist::ExchangePattern::kAsyncRing;
+  core::MeasurementSet m;
+  m.add("dipole_x", sim.dipole_probe({1.0, 0.0, 0.0}));
+  const auto res = sim.run(cfg, std::move(m));
 
-  ASSERT_EQ(res.dipole.size(), static_cast<size_t>(steps));
-  for (int i = 0; i < steps; ++i)
-    EXPECT_NEAR(dip_serial[static_cast<size_t>(i)],
-                res.dipole[static_cast<size_t>(i)], kTol)
-        << "step " << i;
+  const auto& dipole = res.measurements.series("dipole_x");
+  ASSERT_EQ(dipole.size(), static_cast<size_t>(cfg.steps));
+  for (size_t i = 0; i < dipole.size(); ++i)
+    EXPECT_NEAR(dip_serial[i], dipole[i], kTol) << "step " << i;
   EXPECT_LT(la::frob_diff(s.sigma, res.final_state.sigma), kTol);
   EXPECT_LT(la::frob_diff(s.phi, res.final_state.phi), 1e-8);
   ASSERT_EQ(res.comm.size(), 3u);
