@@ -21,7 +21,6 @@
 #include "td/laser.hpp"
 #include "td/observables.hpp"
 #include "td/ptim.hpp"
-#include "td/ptim_dist.hpp"
 #include "td/rk4.hpp"
 
 namespace ptim::bench {
@@ -129,6 +128,23 @@ struct MiniSystem {
   }
 };
 
+// This rank's block of alpha*Vx[src,d]*tgt from full (replicated) inputs:
+// slices src, d and tgt over c.size() ranks and calls the rank-local
+// distributed exchange.
+inline la::MatC exchange_block(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
+                               const la::MatC& src,
+                               const std::vector<real_t>& d,
+                               const la::MatC& tgt, dist::ExchangePattern pat) {
+  const int me = c.rank();
+  const dist::BlockLayout sb(src.cols(), c.size()), tb(tgt.cols(), c.size());
+  const std::vector<real_t> d_local(
+      d.begin() + static_cast<long>(sb.offset(me)),
+      d.begin() + static_cast<long>(sb.offset(me) + sb.count(me)));
+  return dist::exchange_apply_distributed_local(
+      c, xop, dist::scatter_bands(src, sb, me), d_local,
+      dist::scatter_bands(tgt, tb, me), sb, pat);
+}
+
 // Run `steps` PT-IM steps of the band-parallel production propagator over
 // `nranks` in-process thread ranks and return the per-rank measured
 // CommStats — the real-solver analogue of the paper's Table I columns.
@@ -149,13 +165,13 @@ inline std::vector<ptmpi::CommStats> run_distributed_steps(
     dist::BandHamOptions bopt;
     bopt.pattern = pattern;
     dist::BandDistributedHamiltonian bdh(c, h, nb, bopt);
-    td::DistTdState s = td::scatter_state(init, bands, c.rank());
+    td::TdState s = td::scatter_state(init, bands, c.rank());
     td::PtImOptions opt;
     opt.dt = 1.0;
     opt.tol = 1e-7;
     opt.variant = variant;
     opt.exchange_precision = exchange_precision;
-    td::DistPtImPropagator prop(bdh, opt, nullptr);
+    td::PtImPropagator prop(bdh, opt, nullptr);
     c.barrier();  // setup done on every rank before the clock starts
     Timer t;
     for (int i = 0; i < steps; ++i) prop.step(s);
@@ -184,8 +200,8 @@ inline double time_exchange_apply(const MiniSystem& sys,
   for (int rep = 0; rep < reps; ++rep) {
     Timer t;
     ptmpi::run_ranks(nranks, 2, [&](ptmpi::Comm& c) {
-      (void)dist::exchange_apply_distributed(
-          c, xop, sys.ground.phi, sys.ground.occ, sys.ground.phi, pat);
+      (void)exchange_block(c, xop, sys.ground.phi, sys.ground.occ,
+                           sys.ground.phi, pat);
     });
     const double secs = t.seconds();
     if (secs < best) {

@@ -78,7 +78,7 @@ int main() {
           dist::ExchangePattern::kAsyncRing}) {
       Timer timer;
       ptmpi::run_ranks(4, 2, [&](ptmpi::Comm& c) {
-        (void)dist::exchange_apply_distributed(c, xop, src, d, src, pat);
+        (void)bench::exchange_block(c, xop, src, d, src, pat);
       });
       long long bytes = 0;
       for (const auto& [op, st] : ptmpi::last_run_stats()[0].snapshot().ops)

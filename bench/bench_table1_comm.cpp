@@ -84,9 +84,8 @@ int main() {
       xopt.precision = prec;
       ham::ExchangeOperator xop{map, xopt};
       ptmpi::run_ranks(4, 2, [&](ptmpi::Comm& c) {
-        (void)dist::exchange_apply_distributed(c, xop, sys.ground.phi,
-                                               sys.ground.occ, sys.ground.phi,
-                                               pat);
+        (void)bench::exchange_block(c, xop, sys.ground.phi, sys.ground.occ,
+                                    sys.ground.phi, pat);
       });
       const ptmpi::CommStats st = ptmpi::last_run_stats()[0].snapshot();
       std::printf("%-10s %-6s", prec == Precision::kDouble
@@ -101,7 +100,7 @@ int main() {
   }
 
   // Measured Table I analogue from the REAL propagator: one full PT-IM-ACE
-  // step through td::DistPtImPropagator on 4 thread ranks, per-op stats of
+  // step through td::PtImPropagator on 4 thread ranks, per-op stats of
   // rank 0 (calls / bytes / seconds) for each circulation pattern.
   static const char* kOps[] = {"Alltoallv", "Sendrecv", "Wait",
                                "Allgatherv", "Allreduce", "Bcast"};
@@ -210,7 +209,7 @@ int main() {
         xopt.precision = m.prec;
         ham::ExchangeOperator xop{map, xopt};
         ptmpi::run_ranks(4, 2, [&](ptmpi::Comm& c) {
-          (void)dist::exchange_apply_distributed(c, xop, rphi, rd, rphi, pat);
+          (void)bench::exchange_block(c, xop, rphi, rd, rphi, pat);
         });
         const ptmpi::CommStats st = ptmpi::last_run_stats()[0].snapshot();
         auto bytes_of = [&](const char* op) -> long long {

@@ -9,11 +9,27 @@
 
 #include "backend/backend.hpp"
 #include "dist/exchange_dist.hpp"
+#include "dist/rotate.hpp"
 #include "dist/transpose.hpp"
 #include "gs/scf.hpp"
 #include "la/blas.hpp"
 
 using namespace ptim;
+
+// This rank's block of the exchange of the (replicated) ground state with
+// itself: slice the orbitals and occupations, then apply the rank-local
+// distributed exchange.
+la::MatC exchange_block(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
+                        const gs::ScfResult& gs, const dist::BlockLayout& bands,
+                        dist::ExchangePattern pat) {
+  const int me = c.rank();
+  const la::MatC phi = dist::scatter_bands(gs.phi, bands, me);
+  const std::vector<real_t> occ(
+      gs.occ.begin() + static_cast<long>(bands.offset(me)),
+      gs.occ.begin() + static_cast<long>(bands.offset(me) + bands.count(me)));
+  return dist::exchange_apply_distributed_local(c, xop, phi, occ, phi, bands,
+                                                pat);
+}
 
 int main(int argc, char** argv) {
   const int ranks = argc > 1 ? std::atoi(argv[1]) : 4;
@@ -48,8 +64,8 @@ int main(int argc, char** argv) {
     const dist::BlockLayout bands(gs.phi.cols(), ranks);
     std::vector<la::MatC> blocks(static_cast<size_t>(ranks));
     ptmpi::run_ranks(ranks, 2, [&](ptmpi::Comm& c) {
-      blocks[static_cast<size_t>(c.rank())] = dist::exchange_apply_distributed(
-          c, xop, gs.phi, gs.occ, gs.phi, pat);
+      blocks[static_cast<size_t>(c.rank())] =
+          exchange_block(c, xop, gs, bands, pat);
     });
 
     // Verify against the serial operator.
@@ -83,8 +99,8 @@ int main(int argc, char** argv) {
     const dist::BlockLayout bands(gs.phi.cols(), ranks);
     std::vector<real_t> errs(static_cast<size_t>(ranks), 0.0);
     ptmpi::run_ranks(ranks, 2, [&](ptmpi::Comm& c) {
-      const la::MatC blk = dist::exchange_apply_distributed(
-          c, bxop, gs.phi, gs.occ, gs.phi, dist::ExchangePattern::kAsyncRing);
+      const la::MatC blk =
+          exchange_block(c, bxop, gs, bands, dist::ExchangePattern::kAsyncRing);
       real_t err = 0.0;
       for (size_t b = 0; b < bands.count(c.rank()); ++b)
         for (size_t i = 0; i < gs.phi.rows(); ++i)

@@ -6,7 +6,6 @@
 
 #include "backend/buffer.hpp"
 #include "common/error.hpp"
-#include "ham/density.hpp"
 #include "obs/obs.hpp"
 #include "obs/step_report.hpp"
 
@@ -291,53 +290,15 @@ void EnsembleCampaign::run_job(ptmpi::Comm& group, int id) {
     queue_.update_status(id, st);
   };
 
-  if (g == 1) {
-    td::TdState s = std::move(ck.state);
-    td::PtImPropagator prop(*h, cfg_.ptim(), laser.get());
-    std::vector<real_t> rho;
-    if (msink) msampler.begin(job_counters(*h, group));
-    while (done < total) {
-      const td::PtImStepStats st = prop.step(s);
-      ++done;
-      if (msink) {
-        obs::StepReport r = msampler.end(job_counters(*h, group));
-        r.job_id = id;
-        r.rank = group.rank();
-        r.step = static_cast<long>(done);
-        r.scf_iterations = st.scf_iterations;
-        r.outer_iterations = st.outer_iterations;
-        r.exchange_applications = st.exchange_applications;
-        r.residual = st.residual;
-        r.converged = st.converged ? 1 : 0;
-        msink->write(r);
-        msampler.begin(job_counters(*h, group));
-      }
-      rho = ham::density_sigma(s.phi, s.sigma, h->den_map());
-      MeasureContext ctx;
-      ctx.rho = &rho;
-      ctx.phi = &s.phi;
-      ctx.sigma = &s.sigma;
-      ctx.time = s.time;
-      ctx.step = static_cast<int>(done) - 1;
-      m.record(ctx);
-      if (due(done)) persist(s);
-      if (opt_.fault_hook) opt_.fault_hook(id, done);
-    }
-    return;
-  }
-
-  // Distributed trajectory: the same band/grid path Simulation::run uses,
-  // over this group's subcommunicator. Dimensions come from the
-  // CHECKPOINT (jobs may carry states of a different system than the
-  // Simulation — the ham_factory seam).
-  const size_t nb = ck.state.phi.cols();
-  const dist::ProcessGrid pgrid = cfg_.process_grid;
-  const int pb = pgrid.resolve_pb(g);
-  const dist::BlockLayout bands(nb, pb);
+  // The same band/grid path Simulation::run uses, over this group's
+  // communicator (one rank: the serial layout on the worker's thread).
+  // Dimensions come from the CHECKPOINT (jobs may carry states of a
+  // different system than the Simulation — the ham_factory seam).
+  const size_t nb = ck.state.nbands();
+  const dist::BlockLayout bands(nb, cfg_.process_grid.resolve_pb(g));
   dist::BandDistributedHamiltonian bdh(group, *h, nb, cfg_.band());
-  td::DistTdState s =
-      td::scatter_state(ck.state, bands, pgrid.band_rank_of(group.rank()));
-  td::DistPtImPropagator prop(bdh, cfg_.ptim(), laser.get());
+  td::TdState s = td::scatter_state(ck.state, bands, bdh.comm().rank());
+  td::PtImPropagator prop(bdh, cfg_.ptim(), laser.get());
   const bool want_phi = m.needs_phi();
   if (msink) msampler.begin(job_counters(*h, group));
   while (done < total) {
@@ -358,7 +319,7 @@ void EnsembleCampaign::run_job(ptmpi::Comm& group, int id) {
       msink->write(r);
       msampler.begin(job_counters(*h, group));
     }
-    const std::vector<real_t> rho = bdh.density(s.phi_local, s.sigma);
+    const std::vector<real_t> rho = bdh.density(s.phi, s.sigma);
     // gather_state is collective over the band communicator (every grid
     // column gathers redundantly); the leader holds band rank 0's copy.
     td::TdState full;

@@ -19,9 +19,10 @@
 // ranks each. Idle groups claim the next runnable job through a shared
 // fetch_add cursor (Comm::fetch_add — the MPI_Fetch_and_op job-handoff
 // idiom), the group leader broadcasts the claim, and the group propagates
-// the job: serially for cfg.nranks == 1, else through the same
-// BandDistributedHamiltonian / DistPtImPropagator path Simulation::run
-// uses, over the group's split subcommunicator.
+// the job through the same BandDistributedHamiltonian / PtImPropagator
+// step loop Simulation::run uses, over the group's split subcommunicator
+// (cfg.nranks == 1 is its one-rank layout). A campaign of one one-rank
+// worker runs on the calling thread.
 //
 // Durability: every job writes ckpt_0 at submit and an io::Checkpoint
 // (format v2) every cfg.checkpoint_every steps plus the final step, into
@@ -131,8 +132,8 @@ class EnsembleCampaign {
   bool load_latest_valid(const std::string& job_dir, uint64_t hash,
                          io::Checkpoint* out) const;
   // Propagate job `id` from its latest valid checkpoint to spec.steps on
-  // this worker group (serial when group.size() == 1, else band/grid-
-  // distributed). The group leader records measurements, saves
+  // this worker group (band/grid layout over the group; one rank is the
+  // serial case). The group leader records measurements, saves
   // checkpoints and updates the status file.
   void run_job(ptmpi::Comm& group, int id);
 

@@ -17,17 +17,39 @@ namespace {
 
 // Counter snapshot for the per-step metrics sampler. `xop` is the exchange
 // operator the propagator actually drives (the per-rank Hamiltonian's, for
-// distributed runs); `comm` is null on the serial path.
+// distributed runs).
 obs::StepCounters sample_counters(const ham::ExchangeOperator& xop,
-                                  ptmpi::Comm* comm) {
+                                  ptmpi::Comm& comm) {
   obs::StepCounters sc;
   sc.ffts = xop.fft_count.load(std::memory_order_relaxed);
   sc.alloc_count = backend::buffer_alloc_count();
   sc.isdf_fit_seconds = obs::profile_get(obs::intern("isdf.fit")).seconds +
                         obs::profile_get(obs::intern("isdf.fit_dist")).seconds;
-  if (comm) sc.comm = comm->stats().snapshot();
+  sc.comm = comm.stats().snapshot();
   return sc;
 }
+
+// Tracing for the span of one run: on (and emptied) at construction, back
+// to the caller's state and emptied again at destruction.
+class TraceScope {
+ public:
+  explicit TraceScope(bool on) : on_(on), was_enabled_(obs::enabled()) {
+    if (!on_) return;
+    obs::clear();
+    obs::set_enabled(true);
+  }
+  ~TraceScope() {
+    if (!on_) return;
+    obs::set_enabled(was_enabled_);
+    obs::clear();
+  }
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
+
+ private:
+  bool on_;
+  bool was_enabled_;
+};
 
 void fill_step_stats(obs::StepReport* r, const td::PtImStepStats& st) {
   r->scf_iterations = st.scf_iterations;
@@ -141,113 +163,65 @@ Simulation::RunResult Simulation::run(const RunConfig& cfg,
   };
 
   // Observability knobs (both hash-neutral). Tracing spans the whole run;
-  // the previous enabled state is restored on exit so a traced run inside
-  // a larger process (tests, benches) cannot leak recording into it.
+  // the guard restores the previous enabled state on every exit path, a
+  // throw included, so a traced run inside a larger process (tests,
+  // benches) cannot leak recording into it.
   const bool tracing = !cfg.trace_path.empty();
-  const bool was_enabled = obs::enabled();
-  if (tracing) {
-    obs::clear();
-    obs::set_enabled(true);
-  }
+  const TraceScope trace_scope(tracing);
   std::shared_ptr<obs::MetricsSink> metrics;
   if (!cfg.metrics_path.empty())
     metrics = std::make_shared<obs::MetricsSink>(cfg.metrics_path);
 
-  if (cfg.nranks == 1) {
-    td::TdState s = initial;
-    td::PtImPropagator prop(*h_, cfg.ptim(), laser_.get());
-    if (cfg.checkpoint_every > 0 || metrics) {
-      // Post-commit hook of the staged step protocol: the state it sees is
-      // exactly what a resume restores, so saving here is bitwise-safe —
-      // and the metrics sampler closes its per-step window at the same
-      // commit point, so a report row always describes a resumable step.
-      uint64_t done = start_step;
-      int step = 0;
-      auto sampler = std::make_shared<obs::StepSampler>();
-      if (metrics) sampler->begin(sample_counters(h_->exchange_op(), nullptr));
-      prop.set_step_hook([this, &cfg, &ckpt_due, &ckpt_path, metrics, sampler,
-                          done, step](const td::TdState& hs,
-                                      const td::PtImStepStats& st) mutable {
-        ++done;
-        if (metrics) {
-          obs::StepReport r =
-              sampler->end(sample_counters(h_->exchange_op(), nullptr));
-          r.step = static_cast<long>(done);
-          fill_step_stats(&r, st);
-          metrics->write(r);
-          sampler->begin(sample_counters(h_->exchange_op(), nullptr));
-        }
-        if (ckpt_due(done, step++))
-          io::save_checkpoint(ckpt_path(done), checkpoint(cfg, hs, done));
-      });
-    }
-    std::vector<real_t> rho;
-    for (int step = 0; step < cfg.steps; ++step) {
-      result.steps[static_cast<size_t>(step)] = prop.step(s);
-      rho = ham::density_sigma(s.phi, s.sigma, h_->den_map());
-      MeasureContext ctx;
-      ctx.rho = &rho;
-      ctx.phi = &s.phi;
-      ctx.sigma = &s.sigma;
-      ctx.time = s.time;
-      ctx.step = static_cast<int>(start_step) + step;
-      result.measurements.record(ctx);
-    }
-    result.final_state = std::move(s);
-    if (tracing) {
-      obs::set_enabled(was_enabled);
-      obs::write_chrome_trace(cfg.trace_path, obs::snapshot());
-      obs::clear();
-    }
-    return result;
-  }
-
   // 2-D layout: RunConfig::process_grid splits the nranks world into pb
-  // band rows x pg grid columns; pg == 1 is the pure band-parallel path.
-  // resolve_pb validates pb*pg == nranks in EVERY mode, so an explicitly
-  // set but inconsistent layout is rejected rather than silently ignored.
+  // band rows x pg grid columns; pg == 1 is the pure band-parallel path and
+  // nranks == 1 the serial one. resolve_pb validates pb*pg == nranks in
+  // EVERY mode, so an explicitly set but inconsistent layout is rejected
+  // rather than silently ignored.
   const dist::ProcessGrid pgrid = cfg.process_grid;
   const int pb = pgrid.resolve_pb(cfg.nranks);
   const dist::BlockLayout bands(nbands_, pb);
-  // Probes that read Phi force a full gather every step; the cheap rho/
-  // sigma probes cost no extra communication.
+  // Probes that read Phi force a full gather every step (a copy at one
+  // rank); the cheap rho/sigma probes cost no extra communication.
   const bool want_phi = result.measurements.needs_phi();
   // Hash once on the launcher thread; the rank lambdas only read it.
   const uint64_t cfg_hash =
       cfg.checkpoint_every > 0 ? config_hash(cfg) : 0;
 
+  // One rank runs on the calling thread (ptmpi::run_ranks).
   ptmpi::run_ranks(cfg.nranks, cfg.ranks_per_node, [&](ptmpi::Comm& c) {
-    // Per-rank Hamiltonian over the shared read-only grids/atoms; carries
-    // the live vector potential (delta-kick / resumed laser phase).
-    std::unique_ptr<ham::Hamiltonian> h = make_rank_hamiltonian();
-    h->set_vector_potential(h_->vector_potential());
-    dist::BandDistributedHamiltonian bdh(c, *h, nbands_, cfg.band());
-    td::DistTdState s =
-        td::scatter_state(initial, bands, pgrid.band_rank_of(c.rank()));
-    td::DistPtImPropagator prop(bdh, cfg.ptim(), laser_.get());
+    // A serial run propagates this Simulation's own Hamiltonian, which it
+    // leaves at the trajectory's end (vector potential, density). Each rank
+    // of a distributed run needs its own instance over the shared read-only
+    // grids/atoms, carrying the live vector potential (delta kick / resumed
+    // laser phase).
+    std::unique_ptr<ham::Hamiltonian> rank_h;
+    if (cfg.nranks > 1) {
+      rank_h = make_rank_hamiltonian();
+      rank_h->set_vector_potential(h_->vector_potential());
+    }
+    ham::Hamiltonian& h = rank_h ? *rank_h : *h_;
+    dist::BandDistributedHamiltonian bdh(c, h, nbands_, cfg.band());
+    td::TdState s = td::scatter_state(initial, bands, bdh.comm().rank());
+    td::PtImPropagator prop(bdh, cfg.ptim(), laser_.get());
     // Per-rank metrics sampler: each rank reports its own comm/FFT deltas
     // into the shared (thread-safe) sink, keyed by its rank column.
     obs::StepSampler sampler;
-    if (metrics) sampler.begin(sample_counters(h->exchange_op(), &c));
+    if (metrics) sampler.begin(sample_counters(h.exchange_op(), c));
     for (int step = 0; step < cfg.steps; ++step) {
-      td::PtImStepStats st;
-      {
-        OBS_SPAN("td.dist_step", obs::Cat::kStep);
-        st = prop.step(s);
-      }
+      const td::PtImStepStats st = prop.step(s);
       if (metrics) {
-        obs::StepReport r = sampler.end(sample_counters(h->exchange_op(), &c));
-        r.rank = c.rank();
+        obs::StepReport r = sampler.end(sample_counters(h.exchange_op(), c));
+        if (cfg.nranks > 1) r.rank = c.rank();
         r.step = static_cast<long>(start_step) + step + 1;
         fill_step_stats(&r, st);
         metrics->write(r);
-        sampler.begin(sample_counters(h->exchange_op(), &c));
+        sampler.begin(sample_counters(h.exchange_op(), c));
       }
-      // Observables from the distributed state: rho is Allreduced over the
-      // band communicator (and the grid columns compute it redundantly and
-      // identically), so rho-derived probes see the same values on every
-      // rank; world rank 0 records them.
-      const std::vector<real_t> rho = bdh.density(s.phi_local, s.sigma);
+      // Observables: rho is Allreduced over the band communicator (and the
+      // grid columns compute it redundantly and identically), so
+      // rho-derived probes see the same values on every rank; world rank 0
+      // records them.
+      const std::vector<real_t> rho = bdh.density(s.phi, s.sigma);
       td::TdState full;
       if (want_phi) full = td::gather_state(bdh.comm(), s, bands);
       if (c.rank() == 0) {
@@ -260,12 +234,13 @@ Simulation::RunResult Simulation::run(const RunConfig& cfg,
         ctx.step = static_cast<int>(start_step) + step;
         result.measurements.record(ctx);
       }
+      // Auto-checkpoint after the commit: the state saved is exactly what a
+      // resume restores. gather_state is collective over the band
+      // communicator (each grid column gathers redundantly); world rank 0
+      // persists the snapshot with the vector potential of the Hamiltonian
+      // the propagator advances.
       const uint64_t done = start_step + static_cast<uint64_t>(step) + 1;
       if (ckpt_due(done, step)) {
-        // gather_state is collective over the band communicator (each grid
-        // column gathers redundantly); world rank 0 persists the snapshot.
-        // The vector potential comes from the PER-RANK Hamiltonian — the
-        // one the distributed propagator actually advances.
         const td::TdState snap =
             want_phi ? full : td::gather_state(bdh.comm(), s, bands);
         if (c.rank() == 0) {
@@ -273,15 +248,15 @@ Simulation::RunResult Simulation::run(const RunConfig& cfg,
           ck.state = snap;
           ck.step_index = done;
           ck.config_hash = cfg_hash;
-          ck.avec = h->vector_potential();
+          ck.avec = h.vector_potential();
           io::save_checkpoint(ckpt_path(done), ck);
         }
       }
     }
     // Gather over the band communicator (grid column 0 contains world rank
     // 0, which holds the full state for the caller).
-    const td::TdState full = td::gather_state(bdh.comm(), s, bands);
-    if (c.rank() == 0) result.final_state = full;
+    td::TdState full = td::gather_state(bdh.comm(), s, bands);
+    if (c.rank() == 0) result.final_state = std::move(full);
     if (tracing) {
       // Rank-merged trace: after the barrier every rank is past its last
       // instrumented operation (stream workers drained inside the step
@@ -295,10 +270,6 @@ Simulation::RunResult Simulation::run(const RunConfig& cfg,
     }
   });
   result.comm = ptmpi::last_run_stats();
-  if (tracing) {
-    obs::set_enabled(was_enabled);
-    obs::clear();
-  }
   return result;
 }
 

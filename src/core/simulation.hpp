@@ -7,7 +7,7 @@
 //   core::Simulation sim(spec);
 //   sim.prepare_ground_state();
 //   auto state = sim.initial_state();
-//   auto prop  = sim.make_ptim(ptim_options);
+//   auto prop  = sim.make_ptim(ptim_options);   // serial: one-rank layout
 //   for (...) { prop->step(state); record(sim.dipole_x(state)); }
 
 #include <memory>
@@ -27,7 +27,6 @@
 #include "ptmpi/comm.hpp"
 #include "td/laser.hpp"
 #include "td/ptim.hpp"
-#include "td/ptim_dist.hpp"
 #include "td/rk4.hpp"
 #include "td/state.hpp"
 
@@ -76,8 +75,10 @@ class Simulation {
   std::unique_ptr<td::Rk4Propagator> make_rk4(td::Rk4Options opt);
 
   // --- unified run driver -----------------------------------------------
-  // One entry point for serial (nranks == 1) and band/grid-distributed
-  // propagation, with per-step sampling of the registered measurements.
+  // One entry point for serial (nranks == 1, on the calling thread and this
+  // Simulation's Hamiltonian) and band/grid-distributed propagation — one
+  // step loop over any layout — with per-step sampling of the registered
+  // measurements.
   // `start`/`start_step` resume a split trajectory (e.g. from a
   // checkpoint); measurements are sampled after every step with ctx.step =
   // start_step + k, so a split run's series concatenate to the
@@ -86,7 +87,7 @@ class Simulation {
     td::TdState final_state;                // gathered full state
     MeasurementSet measurements;            // per-step series + statistics
     std::vector<td::PtImStepStats> steps;   // per-step solver statistics
-    std::vector<ptmpi::CommStats> comm;     // distributed runs only
+    std::vector<ptmpi::CommStats> comm;     // per rank
   };
   RunResult run(const RunConfig& cfg, MeasurementSet measurements = {},
                 const td::TdState* start = nullptr, uint64_t start_step = 0);

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/timer.hpp"
 #include "dist/exchange_dist.hpp"
 #include "dist/rotate.hpp"
 #include "dist/transpose.hpp"
+#include "ham/density.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/eig.hpp"
@@ -25,19 +27,18 @@ BandDistributedHamiltonian::BandDistributedHamiltonian(ptmpi::Comm& c,
       h_(&h),
       bands_(nbands, c_->size()),
       rows_(h.sphere().npw(), c_->size()),
-      opt_(opt) {
+      opt_(opt),
+      one_rank_(c.size() == 1) {
   // Validate the layout in every mode (pg == 1 included), so an
   // explicitly-set but inconsistent ProcessGrid is rejected rather than
   // silently ignored. The GridContext path has already checked pg > 1.
   if (!gridctx_) (void)opt_.grid.resolve_pb(c.size());
-  // Exchange is applied by this layer; the local Hamiltonian only ever
-  // contributes kinetic/local/nonlocal terms.
-  h_->set_exchange_mode(ham::ExchangeMode::kNone);
 }
 
 la::MatC BandDistributedHamiltonian::exchange_diag(
     const la::MatC& src_local, const std::vector<real_t>& d_local,
     const la::MatC& tgt_local) {
+  ScopedTimer t("exchange.diag");
   if (gridctx_) {
     PTIM_CHECK_MSG(
         h_->exchange_op().options().compression !=
@@ -97,7 +98,11 @@ la::MatC BandDistributedHamiltonian::solve_upper_right(
 }
 
 std::vector<real_t> BandDistributedHamiltonian::density(
-    const la::MatC& phi_local, const la::MatC& sigma, la::MatC* theta_out) {
+    const la::MatC& phi_local, const la::MatC& sigma, la::MatC* theta_out,
+    bool naive) {
+  if (naive && one_rank_)
+    return ham::density_sigma_naive(phi_local, sigma, h_->den_map());
+  ScopedTimer t("density.sigma");
   la::MatC theta_local = rotate(phi_local, sigma);
   const auto& map = h_->den_map();
   const size_t ng = map.grid().size();
@@ -118,45 +123,40 @@ std::vector<real_t> BandDistributedHamiltonian::density(
 void BandDistributedHamiltonian::set_exchange_source_mixed_naive(
     const la::MatC& phi_local, const la::MatC& sigma, la::MatC theta_local) {
   xsrc_local_ = phi_local;
-  xtheta_local_ = theta_local.same_shape(phi_local)
-                      ? std::move(theta_local)
-                      : rotate(phi_local, sigma);
+  if (one_rank_)
+    xsigma_ = sigma;
+  else
+    xtheta_local_ = theta_local.same_shape(phi_local)
+                        ? std::move(theta_local)
+                        : rotate(phi_local, sigma);
   xmode_ = BandExchangeMode::kMixedNaive;
+}
+
+la::MatC BandDistributedHamiltonian::eigen_rotate(
+    const la::MatC& phi_local, la::MatC sigma, std::vector<real_t>* occ_local) {
+  la::hermitize(sigma);
+  const auto eig = la::eig_herm(sigma);
+  const int me = c_->rank();
+  occ_local->assign(
+      eig.w.begin() + static_cast<long>(bands_.offset(me)),
+      eig.w.begin() + static_cast<long>(bands_.offset(me) + bands_.count(me)));
+  return rotate(phi_local, eig.V);
 }
 
 void BandDistributedHamiltonian::set_exchange_source_mixed_diag(
     const la::MatC& phi_local, la::MatC sigma) {
-  // Same sequence as ham::Hamiltonian::set_exchange_source_mixed: hermitize,
-  // diagonalize (replicated, so Q is identical on every rank), rotate.
-  la::hermitize(sigma);
-  const auto eig = la::eig_herm(sigma);
-  xsrc_local_ = rotate(phi_local, eig.V);
-  xocc_local_.assign(
-      eig.w.begin() + static_cast<long>(bands_.offset(c_->rank())),
-      eig.w.begin() + static_cast<long>(bands_.offset(c_->rank()) +
-                                        bands_.count(c_->rank())));
+  xsrc_local_ = eigen_rotate(phi_local, std::move(sigma), &xocc_local_);
   xmode_ = BandExchangeMode::kMixedDiag;
 }
 
-real_t BandDistributedHamiltonian::build_ace(const la::MatC& phi_local,
-                                             la::MatC sigma) {
-  const int me = c_->rank();
-  la::hermitize(sigma);
-  const auto eig = la::eig_herm(sigma);
-  const la::MatC rotated_local = rotate(phi_local, eig.V);
-  const std::vector<real_t> occ_local(
-      eig.w.begin() + static_cast<long>(bands_.offset(me)),
-      eig.w.begin() + static_cast<long>(bands_.offset(me) +
-                                        bands_.count(me)));
-
-  // W = (alpha Vx) Phi' via the circulating batched-FFT exchange (slab
-  // pipeline under the 2-D layout).
-  const la::MatC w_local =
-      exchange_diag(rotated_local, occ_local, rotated_local);
-
-  // B = -Phi'^H W (+ ridge), Cholesky, xi = W L^{-H} — the serial
-  // AceOperator::build arithmetic on replicated small matrices.
-  la::MatC b = overlap(rotated_local, w_local);
+real_t BandDistributedHamiltonian::set_ace(const la::MatC& src_local,
+                                           const std::vector<real_t>& d_local,
+                                           const la::MatC& w_local) {
+  ScopedTimer t("ace.build");
+  // B = -src^H W (+ ridge for the semidefinite edge), Cholesky,
+  // xi = W L^{-H} — replicated small matrices, so every rank factors the
+  // same B.
+  la::MatC b = overlap(src_local, w_local);
   for (size_t i = 0; i < b.size(); ++i) b.data()[i] = -b.data()[i];
   la::hermitize(b);
   const size_t n = b.rows();
@@ -168,13 +168,13 @@ real_t BandDistributedHamiltonian::build_ace(const la::MatC& phi_local,
   xi_local_ = solve_upper_right(l, w_local);
   xmode_ = BandExchangeMode::kAce;
 
-  // Exchange-energy estimate sum_b d_b <phi'_b|W_b>: local bands, then the
+  // Exchange-energy estimate sum_b d_b <src_b|W_b>: local bands, then the
   // deterministic Allreduce — replicated like every other scalar.
   real_t ex = 0.0;
-  for (size_t b2 = 0; b2 < rotated_local.cols(); ++b2)
-    ex += occ_local[b2] * std::real(la::dotc(rotated_local.rows(),
-                                             rotated_local.col(b2),
-                                             w_local.col(b2)));
+  for (size_t k = 0; k < src_local.cols(); ++k)
+    ex += d_local[k] *
+          std::real(la::dotc(src_local.rows(), src_local.col(k),
+                             w_local.col(k)));
   c_->allreduce_sum(&ex, 1);
   return ex;
 }
@@ -186,6 +186,11 @@ void BandDistributedHamiltonian::apply(const la::MatC& phi_local,
     case BandExchangeMode::kNone:
       break;
     case BandExchangeMode::kMixedNaive: {
+      if (one_rank_) {
+        h_->exchange_op().apply_mixed_naive(xsrc_local_, xsigma_, phi_local,
+                                            hphi_local, /*accumulate=*/true);
+        break;
+      }
       const la::MatC vx = exchange_mixed(xsrc_local_, xtheta_local_, phi_local);
       for (size_t i = 0; i < hphi_local.size(); ++i)
         hphi_local.data()[i] += vx.data()[i];
@@ -199,11 +204,12 @@ void BandDistributedHamiltonian::apply(const la::MatC& phi_local,
     }
     case BandExchangeMode::kAce: {
       // V_ACE tgt = -xi (xi^H tgt): replicated G = xi^H tgt, then one
-      // rotation to form (xi G)[:, my bands].
-      const la::MatC g = overlap(xi_local_, phi_local);
-      const la::MatC xg = rotate(xi_local_, g);
-      for (size_t i = 0; i < hphi_local.size(); ++i)
-        hphi_local.data()[i] -= xg.data()[i];
+      // accumulating rotation hphi += xi (-G)[:, my bands] — at one rank
+      // the serial AceOperator::apply arithmetic.
+      ScopedTimer t("ace.apply");
+      la::MatC g = overlap(xi_local_, phi_local);
+      for (size_t i = 0; i < g.size(); ++i) g.data()[i] = -g.data()[i];
+      rotate_bands_add(*c_, xi_local_, g, bands_, opt_.pattern, hphi_local);
       break;
     }
   }

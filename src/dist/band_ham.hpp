@@ -1,10 +1,12 @@
 #pragma once
-// Band-parallel view of the Kohn-Sham Hamiltonian: the layer that turns the
-// standalone dist/ kernels into the production PT-IM path (paper Secs.
-// IV-B/IV-C). Every ptmpi rank owns a BlockLayout band slice of {Phi,
-// sigma-contracted quantities}; nb x nb matrices (sigma, overlaps, M =
-// Phi^H H Phi) stay replicated but are only ever produced from Allreduced
-// data, so they are bit-identical on every rank.
+// Band-parallel view of the Kohn-Sham Hamiltonian: the layer the PT-IM
+// propagator runs on (paper Secs. IV-B/IV-C). Every ptmpi rank owns a
+// BlockLayout band slice of {Phi, sigma-contracted quantities}; nb x nb
+// matrices (sigma, overlaps, M = Phi^H H Phi) stay replicated but are only
+// ever produced from Allreduced data, so they are bit-identical on every
+// rank. A serial run is the one-rank layout: the slice is the whole
+// matrix, every collective is a local copy, and the circulations apply the
+// one slab in place.
 //
 // Communication map (the measured analogue of Table I):
 //  * exact exchange          — Bcast / Ring / Async-Ring slab circulation
@@ -19,8 +21,11 @@
 //  * occupations / gathers   — Allgatherv.
 //
 // Each rank must bring its OWN ham::Hamiltonian instance (the Hamiltonian
-// carries mutable density/exchange state); all instances see identical
-// densities because rho is Allreduced before set_density.
+// carries mutable density state); all instances see identical densities
+// because rho is Allreduced before set_density. The layer never changes the
+// Hamiltonian's exchange mode: it applies exchange itself and uses only the
+// semilocal part of the Hamiltonian, so a caller's Hamiltonian keeps its
+// Fock energy term.
 
 #include <memory>
 #include <vector>
@@ -87,38 +92,51 @@ class BandDistributedHamiltonian {
   // local bands accumulated, then Allreduced (identical on every rank).
   // theta_out (optional) receives the circulated theta block so callers can
   // reuse it (the baseline exchange needs the same contraction).
+  // naive = the paper's Alg. 2 baseline: at one rank the N^2 pair sum of
+  // ham::density_sigma_naive runs instead (theta_out is left empty).
   std::vector<real_t> density(const la::MatC& phi_local, const la::MatC& sigma,
-                              la::MatC* theta_out = nullptr);
+                              la::MatC* theta_out = nullptr,
+                              bool naive = false);
   void set_density(const std::vector<real_t>& rho) { h_->set_density(rho); }
 
   // --- exchange configuration (the P in Vx[P]) -------------------------
   void set_exchange_none() { xmode_ = BandExchangeMode::kNone; }
-  // Alg. 2 baseline: keep the full sigma, carry it as theta = Phi sigma.
-  // Pass a precomputed theta block (e.g. from density()) to skip the ring
-  // circulation; when absent it is formed here.
+  // Alg. 2 baseline. At one rank the full sigma is kept and the exchange
+  // runs the naive N^3 pair loop (ExchangeOperator::apply_mixed_naive),
+  // which is the cost the paper's BL -> Diag step removes. Distributed, the
+  // sigma contraction rides along as theta = Phi sigma: pass a precomputed
+  // theta block (from density()) to skip its circulation.
   void set_exchange_source_mixed_naive(const la::MatC& phi_local,
                                        const la::MatC& sigma,
                                        la::MatC theta_local = {});
   // Diag optimization: sigma = Q D Q^H once, circulate rotated orbitals.
   void set_exchange_source_mixed_diag(const la::MatC& phi_local,
                                       la::MatC sigma);
-  // ACE build from (phi, sigma): distributed exchange application on the
-  // rotated orbitals, Cholesky compression, xi = W L^{-H}. Returns the
-  // exchange-energy estimate (replicated). Switches the mode to kAce.
-  real_t build_ace(const la::MatC& phi_local, la::MatC sigma);
+  // Eigen-rotation of (Phi, sigma): hermitize sigma, diagonalize it
+  // (replicated, so Q is identical on every rank) and return this rank's
+  // block of Phi Q; occ_local receives the matching eigenvalue slice.
+  la::MatC eigen_rotate(const la::MatC& phi_local, la::MatC sigma,
+                        std::vector<real_t>* occ_local);
+  // alpha Vx[src, d] tgt_local for diagonal occupations, through the
+  // configured layout (1-D band circulation, or the 2-D slab path when
+  // grid.pg > 1). Collective call.
+  la::MatC exchange_diag(const la::MatC& src_local,
+                         const std::vector<real_t>& d_local,
+                         const la::MatC& tgt_local);
+  // Install the ACE surrogate from sources (src, d) and their applied
+  // exchange W = exchange_diag(src, d, src): Cholesky compression
+  // xi = W L^{-H} of B = -src^H W. Returns the exchange-energy estimate
+  // sum_b d_b <src_b|W_b> (replicated). Switches the mode to kAce.
+  real_t set_ace(const la::MatC& src_local, const std::vector<real_t>& d_local,
+                 const la::MatC& w_local);
   BandExchangeMode exchange_mode() const { return xmode_; }
 
   // --- application ------------------------------------------------------
   // hphi_local = H * phi_local (semilocal on the local block + the
-  // configured distributed exchange term). Collective call.
+  // configured exchange term). Collective call.
   void apply(const la::MatC& phi_local, la::MatC& hphi_local);
 
  private:
-  // Exchange applications routed through the configured layout (1-D band
-  // circulation, or the 2-D slab path when grid.pg > 1).
-  la::MatC exchange_diag(const la::MatC& src_local,
-                         const std::vector<real_t>& d_local,
-                         const la::MatC& tgt_local);
   la::MatC exchange_mixed(const la::MatC& src_local,
                           const la::MatC& theta_local,
                           const la::MatC& tgt_local);
@@ -130,9 +148,14 @@ class BandDistributedHamiltonian {
   BlockLayout rows_;
   BandHamOptions opt_;
 
+  // One rank, no grid split: where the Alg. 2 baseline keeps its naive
+  // density and exchange loops.
+  bool one_rank_;
+
   BandExchangeMode xmode_ = BandExchangeMode::kNone;
   la::MatC xsrc_local_;    // rotated orbitals (diag) or raw Phi (naive)
-  la::MatC xtheta_local_;  // Phi*sigma block (naive mode)
+  la::MatC xtheta_local_;  // Phi*sigma block (naive mode, distributed)
+  la::MatC xsigma_;        // full sigma (naive mode, one rank)
   std::vector<real_t> xocc_local_;  // eigen-occupation slice (diag mode)
   la::MatC xi_local_;      // ACE projector block
 };

@@ -1,7 +1,7 @@
 #pragma once
 // Shared slab-circulation engine behind the band-parallel collectives
-// (exchange and rotation). `mine` holds this rank's payload —
-// src_bands.count(me) bands of `stride` elements each — and
+// (exchange and rotation). `mine` points at this rank's payload —
+// src_bands.count(me) bands of `stride` elements each, read in place — and
 // apply(slab, origin) accumulates the contribution of the block that
 // originated on rank `origin`. The three patterns match Table I: one
 // broadcast per round, a synchronous Sendrecv ring, or an Isend/Irecv ring
@@ -50,7 +50,7 @@ namespace detail {
 // onto the streamed engine is a performance question, not a correctness
 // one — the two are bit-identical.
 template <typename T, typename Apply>
-void circulate_slabs_sync(ptmpi::Comm& c, const std::vector<T>& mine,
+void circulate_slabs_sync(ptmpi::Comm& c, const T* mine, size_t mine_elems,
                           size_t slab_elems, ExchangePattern pat,
                           const Apply& apply) {
   const int p = c.size();
@@ -63,7 +63,7 @@ void circulate_slabs_sync(ptmpi::Comm& c, const std::vector<T>& mine,
       for (int root = 0; root < p; ++root) {
         {
           OBS_SPAN("xchg.bcast", obs::Cat::kComm);
-          if (root == me) std::copy(mine.begin(), mine.end(), buf.data());
+          if (root == me) std::copy(mine, mine + mine_elems, buf.data());
           c.bcast(static_cast<void*>(buf.data()), slab_bytes, root);
         }
         OBS_SPAN("xchg.apply_slab", obs::Cat::kCompute);
@@ -76,7 +76,7 @@ void circulate_slabs_sync(ptmpi::Comm& c, const std::vector<T>& mine,
       backend::Buffer<T> b0(slab_elems), b1(slab_elems);
       T* cur = b0.data();
       T* nxt = b1.data();
-      std::copy(mine.begin(), mine.end(), cur);
+      std::copy(mine, mine + mine_elems, cur);
       const int next = (me + 1) % p;
       const int prev = (me - 1 + p) % p;
       for (int s = 0; s < p; ++s) {
@@ -98,7 +98,7 @@ void circulate_slabs_sync(ptmpi::Comm& c, const std::vector<T>& mine,
       backend::Buffer<T> b0(slab_elems), b1(slab_elems);
       T* cur = b0.data();
       T* nxt = b1.data();
-      std::copy(mine.begin(), mine.end(), cur);
+      std::copy(mine, mine + mine_elems, cur);
       const int next = (me + 1) % p;
       const int prev = (me - 1 + p) % p;
       for (int s = 0; s < p; ++s) {
@@ -153,7 +153,7 @@ inline CirculateStreams& cached_streams(backend::Executor& ex) {
 // still reading, and the compute stream must not read a buffer whose
 // transfer has not landed). Buffer r%2 carries round r in every pattern.
 template <typename T, typename Apply>
-void circulate_slabs_streamed(ptmpi::Comm& c, const std::vector<T>& mine,
+void circulate_slabs_streamed(ptmpi::Comm& c, const T* mine, size_t mine_elems,
                               size_t slab_elems, ExchangePattern pat,
                               const Apply& apply, backend::Executor& ex) {
   const int p = c.size();
@@ -198,9 +198,9 @@ void circulate_slabs_streamed(ptmpi::Comm& c, const std::vector<T>& mine,
           ex.stream_wait_event(comm, done[static_cast<size_t>(root - 2)]);
         ex.launch(
             comm,
-            [&c, &mine, b, slab_bytes, root, me] {
+            [&c, mine, mine_elems, b, slab_bytes, root, me] {
               OBS_SPAN("xchg.comm_round", obs::Cat::kComm);
-              if (root == me) std::copy(mine.begin(), mine.end(), b);
+              if (root == me) std::copy(mine, mine + mine_elems, b);
               c.bcast(static_cast<void*>(b), slab_bytes, root);
             },
             "xchg.comm_round");
@@ -212,7 +212,7 @@ void circulate_slabs_streamed(ptmpi::Comm& c, const std::vector<T>& mine,
     }
     case ExchangePattern::kRing:
     case ExchangePattern::kAsyncRing: {
-      std::copy(mine.begin(), mine.end(), buf[0]);
+      std::copy(mine, mine + mine_elems, buf[0]);
       const int next = (me + 1) % p;
       const int prev = (me - 1 + p) % p;
       const bool posted = pat == ExchangePattern::kAsyncRing;
@@ -278,23 +278,24 @@ void circulate_slabs_streamed(ptmpi::Comm& c, const std::vector<T>& mine,
 
 template <typename T, typename Apply>
 void circulate_slabs(ptmpi::Comm& c, const BlockLayout& src_bands,
-                     size_t stride, const std::vector<T>& mine,
-                     ExchangePattern pat, const Apply& apply,
-                     backend::Executor* ex = nullptr) {
+                     size_t stride, const T* mine, ExchangePattern pat,
+                     const Apply& apply, backend::Executor* ex = nullptr) {
   const int p = c.size();
 
   size_t maxw = 0;
   for (int r = 0; r < p; ++r) maxw = std::max(maxw, src_bands.count(r));
   const size_t slab_elems = maxw * stride;
+  const size_t mine_elems = src_bands.count(c.rank()) * stride;
 
   if (p == 1) {
-    apply(mine.data(), 0);
+    apply(mine, 0);
     return;
   }
   if (ex)
-    detail::circulate_slabs_streamed(c, mine, slab_elems, pat, apply, *ex);
+    detail::circulate_slabs_streamed(c, mine, mine_elems, slab_elems, pat,
+                                     apply, *ex);
   else
-    detail::circulate_slabs_sync(c, mine, slab_elems, pat, apply);
+    detail::circulate_slabs_sync(c, mine, mine_elems, slab_elems, pat, apply);
 }
 
 }  // namespace ptim::dist

@@ -5,7 +5,6 @@
 #include "backend/executor.hpp"
 #include "dist/circulate.hpp"
 #include "dist/isdf_dist.hpp"
-#include "dist/rotate.hpp"
 
 namespace ptim::dist {
 
@@ -35,9 +34,8 @@ la::MatC diag_circulation(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
   const auto& map = xop.map();
   const size_t ng = map.grid().size();
 
-  la::Matrix<CS> mine_m;
-  map.to_real_batch(src_local, mine_m);
-  std::vector<CS> mine(mine_m.data(), mine_m.data() + mine_m.size());
+  la::Matrix<CS> mine;
+  map.to_real_batch(src_local, mine);
 
   la::MatC out(tgt_local.rows(), tgt_local.cols(), cplx(0.0));
   auto apply_block = [&](const CS* slab, int origin) {
@@ -46,7 +44,7 @@ la::MatC diag_circulation(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
     xop.apply_diag_realspace(slab, w, d_all.data() + src_bands.offset(origin),
                              tgt_local, out, /*accumulate=*/true);
   };
-  circulate_slabs(c, src_bands, ng, mine, pat, apply_block,
+  circulate_slabs(c, src_bands, ng, mine.data(), pat, apply_block,
                   &backend::shared_executor(xop.options().backend));
   return out;
 }
@@ -88,7 +86,7 @@ la::MatC diag_circulation_gamma(ptmpi::Comm& c,
                                   tgt_local, contrib[static_cast<size_t>(origin)],
                                   /*accumulate=*/true);
   };
-  circulate_slabs(c, src_bands, ng, mine, pat, apply_block,
+  circulate_slabs(c, src_bands, ng, mine.data(), pat, apply_block,
                   &backend::shared_executor(xop.options().backend));
 
   la::MatC out(tgt_local.rows(), tgt_local.cols(), cplx(0.0));
@@ -137,7 +135,7 @@ la::MatC mixed_circulation(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
     xop.apply_weighted_realspace(phis.data(), thetas.data(), w, tgt_local, out,
                                  /*accumulate=*/true);
   };
-  circulate_slabs(c, src_bands, 2 * ng, mine, pat, apply_block,
+  circulate_slabs(c, src_bands, 2 * ng, mine.data(), pat, apply_block,
                   &backend::shared_executor(xop.options().backend));
   return out;
 }
@@ -234,24 +232,6 @@ la::MatC exchange_apply_distributed_mixed_local(
                                     src_bands, pat);
   return mixed_circulation<cplx>(c, xop, src_local, theta_local, tgt_local,
                                  src_bands, pat);
-}
-
-la::MatC exchange_apply_distributed(ptmpi::Comm& c,
-                                    const ham::ExchangeOperator& xop,
-                                    const la::MatC& src,
-                                    const std::vector<real_t>& d,
-                                    const la::MatC& tgt, ExchangePattern pat) {
-  const int p = c.size();
-  const int me = c.rank();
-  PTIM_CHECK(d.size() == src.cols());
-  const BlockLayout sb(src.cols(), p), tb(tgt.cols(), p);
-  const la::MatC src_local = scatter_bands(src, sb, me);
-  const la::MatC tgt_local = scatter_bands(tgt, tb, me);
-  std::vector<real_t> d_local(d.begin() + static_cast<long>(sb.offset(me)),
-                              d.begin() + static_cast<long>(sb.offset(me) +
-                                                            sb.count(me)));
-  return exchange_apply_distributed_local(c, xop, src_local, d_local,
-                                          tgt_local, sb, pat);
 }
 
 }  // namespace ptim::dist

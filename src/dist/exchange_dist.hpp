@@ -6,10 +6,9 @@
 // (see dist/pattern.hpp). All produce results identical to the serial
 // operator.
 //
-// The rank-local entry points are the production API: each rank passes only
-// the band blocks it owns (the layout of the PT-IM propagator state). The
-// legacy full-replication signature is kept as a thin wrapper that slices
-// the global matrices before delegating.
+// Each rank passes only the band blocks it owns (the layout of the PT-IM
+// propagator state); callers holding full matrices slice them with
+// dist::scatter_bands first.
 
 #include <vector>
 
@@ -43,15 +42,5 @@ la::MatC exchange_apply_distributed_mixed_local(
     ptmpi::Comm& c, const ham::ExchangeOperator& xop, const la::MatC& src_local,
     const la::MatC& theta_local, const la::MatC& tgt_local,
     const BlockLayout& src_bands, ExchangePattern p);
-
-// Legacy wrapper: every rank passes the FULL src/tgt matrices
-// (npw x nsrc / npw x ntgt) and occupations d; the function slices both
-// over c.size() ranks with BlockLayout and returns this rank's
-// npw x BlockLayout(ntgt).count(me) block of alpha*Vx[src,d]*tgt.
-la::MatC exchange_apply_distributed(ptmpi::Comm& c,
-                                    const ham::ExchangeOperator& xop,
-                                    const la::MatC& src,
-                                    const std::vector<real_t>& d,
-                                    const la::MatC& tgt, ExchangePattern p);
 
 }  // namespace ptim::dist

@@ -30,10 +30,10 @@ cplx DistAndersonMixer::gdot(const std::vector<cplx>& a,
   cplx part = la::dotc(local_dim_, a.data(), b.data());
   c_->allreduce_sum(&part, 1);
   // Shared sigma tail + augmented regularization rows: identical on every
-  // rank, counted exactly once after the reduction.
-  part += la::dotc(shared_dim_ + aug_len, a.data() + local_dim_,
-                   b.data() + local_dim_);
-  return part;
+  // rank, counted exactly once after the reduction by continuing the same
+  // running sum — so at one rank this is la::dotc over the whole vector.
+  return la::dotc(shared_dim_ + aug_len, a.data() + local_dim_,
+                  b.data() + local_dim_, part);
 }
 
 std::vector<cplx> DistAndersonMixer::mix(const std::vector<cplx>& x,
@@ -79,8 +79,8 @@ std::vector<cplx> DistAndersonMixer::mix(const std::vector<cplx>& x,
       theta[j] = la::dotc(local_dim_, q[j].data(), rhs.data());
     c_->allreduce_sum(theta.data(), m);
     for (size_t j = 0; j < m; ++j)
-      theta[j] += la::dotc(shared_dim_ + m, q[j].data() + local_dim_,
-                           rhs.data() + local_dim_);
+      theta[j] = la::dotc(shared_dim_ + m, q[j].data() + local_dim_,
+                          rhs.data() + local_dim_, theta[j]);
     for (size_t i = m; i-- > 0;) {
       cplx s = theta[i];
       for (size_t j = i + 1; j < m; ++j) s -= R(i, j) * theta[j];

@@ -5,9 +5,9 @@
 // bit-identical on every rank). The least-squares problem is solved with
 // the same modified Gram-Schmidt as la::lsq_solve, but every inner product
 // is formed globally: local contributions are Allreduced in rank order and
-// the shared tail is added once — so the mixing coefficients theta match
-// the serial la::AndersonMixer on the assembled vector to rounding, and are
-// bit-identical across ranks.
+// the shared tail continues that sum once — so the mixing coefficients
+// theta match the serial la::AndersonMixer on the assembled vector to
+// rounding (bitwise at one rank), and are bit-identical across ranks.
 
 #include <deque>
 #include <vector>

@@ -38,17 +38,26 @@ la::MatC gather_bands(ptmpi::Comm& c, const la::MatC& a_local,
 la::MatC rotate_bands(ptmpi::Comm& c, const la::MatC& a_local,
                       const la::MatC& r, const BlockLayout& bands,
                       ExchangePattern pattern) {
+  la::MatC out(a_local.rows(), bands.count(c.rank()), cplx(0.0));
+  rotate_bands_add(c, a_local, r, bands, pattern, out);
+  return out;
+}
+
+void rotate_bands_add(ptmpi::Comm& c, const la::MatC& a_local,
+                      const la::MatC& r, const BlockLayout& bands,
+                      ExchangePattern pattern, la::MatC& out) {
   const int me = c.rank();
   const size_t nb = bands.total();
   const size_t npw = a_local.rows();
   PTIM_CHECK(r.rows() == nb && r.cols() == nb);
   PTIM_CHECK(a_local.cols() == bands.count(me));
-
   const size_t my_n = bands.count(me);
-  la::MatC out(npw, my_n, cplx(0.0));
+  PTIM_CHECK(out.rows() == npw && out.cols() == my_n);
+  if (c.size() == 1) {  // one rank: the block is A, the sub-matrix is R
+    la::gemm_nn(a_local, r, out, cplx(1.0), cplx(1.0));
+    return;
+  }
 
-  const std::vector<cplx> mine(a_local.data(),
-                               a_local.data() + a_local.size());
   // Accumulate the contribution of the block that originated on `origin`:
   // out += slab * R[origin's band rows, my band columns] — one cache-blocked
   // accumulating gemm per circulated block.
@@ -65,8 +74,7 @@ la::MatC rotate_bands(ptmpi::Comm& c, const la::MatC& a_local,
       for (size_t b = 0; b < w; ++b) rsub(b, j) = r(row0 + b, col0 + j);
     la::gemm_nn(slab_m, rsub, out, cplx(1.0), cplx(1.0));
   };
-  circulate_slabs(c, bands, npw, mine, pattern, apply_block);
-  return out;
+  circulate_slabs(c, bands, npw, a_local.data(), pattern, apply_block);
 }
 
 la::MatC solve_upper_right_distributed(ptmpi::Comm& c, const la::MatC& l,

@@ -18,6 +18,11 @@ namespace ptim::dist {
 la::MatC rotate_bands(ptmpi::Comm& c, const la::MatC& a_local,
                       const la::MatC& r, const BlockLayout& bands,
                       ExchangePattern pattern);
+// out_local += (A * R)[:, bands-of-this-rank], one accumulating gemm per
+// circulated block (at one rank: la::gemm_nn with beta = 1).
+void rotate_bands_add(ptmpi::Comm& c, const la::MatC& a_local,
+                      const la::MatC& r, const BlockLayout& bands,
+                      ExchangePattern pattern, la::MatC& out_local);
 
 // Rank-local band slice / reassembly helpers.
 la::MatC scatter_bands(const la::MatC& full, const BlockLayout& bands,

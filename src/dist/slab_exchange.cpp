@@ -229,7 +229,7 @@ la::MatC diag_circulation_slab(GridContext& gc,
     }
     gather_accumulate_slab(gc, xop, acc.data(), ntgt, out);
   };
-  circulate_slabs(gc.band(), src_bands, nloc, mine, pat, apply_block,
+  circulate_slabs(gc.band(), src_bands, nloc, mine.data(), pat, apply_block,
                   &backend::shared_executor(xop.options().backend));
   return out;
 }
@@ -295,7 +295,7 @@ la::MatC mixed_circulation_slab(GridContext& gc,
     }
     gather_accumulate_slab(gc, xop, acc.data(), ntgt, out);
   };
-  circulate_slabs(gc.band(), src_bands, 2 * nloc, mine, pat, apply_block,
+  circulate_slabs(gc.band(), src_bands, 2 * nloc, mine.data(), pat, apply_block,
                   &backend::shared_executor(xop.options().backend));
   return out;
 }

@@ -15,6 +15,7 @@ la::MatC band_to_grid(ptmpi::Comm& c, const la::MatC& band_block,
   const size_t my_nb = bands.count(me);
   const size_t my_rows = rows.count(me);
   PTIM_CHECK(band_block.rows() == npw && band_block.cols() == my_nb);
+  if (p == 1) return band_block;  // one rank: both layouts are the matrix
 
   // To rank r: my bands' rows [rows.offset(r), +rows.count(r)), band-major.
   std::vector<size_t> send_counts(static_cast<size_t>(p)),
@@ -55,6 +56,7 @@ la::MatC grid_to_band(ptmpi::Comm& c, const la::MatC& grid_block,
   const size_t my_nb = bands.count(me);
   PTIM_CHECK(grid_block.rows() == my_rows &&
              grid_block.cols() == bands.total());
+  if (p == 1) return grid_block;
 
   // To rank r: my row slab of r's bands, band-major — the mirror image of
   // band_to_grid's receive layout.

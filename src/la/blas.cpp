@@ -117,8 +117,8 @@ void axpy(size_t n, cplx alpha, const cplx* x, cplx* y) {
   cx_axpy(n, alpha, x, y);
 }
 
-cplx dotc(size_t n, const cplx* x, const cplx* y) {
-  return cx_dotc(n, x, y);
+cplx dotc(size_t n, const cplx* x, const cplx* y, cplx acc) {
+  return cx_dotc(n, x, y, acc);
 }
 
 real_t nrm2(size_t n, const cplx* x) {

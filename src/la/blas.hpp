@@ -25,8 +25,10 @@ void gemm_nc(const MatC& A, const MatC& B, MatC& C, cplx alpha = 1.0,
 
 // y = alpha*x + y on raw ranges.
 void axpy(size_t n, cplx alpha, const cplx* x, cplx* y);
-// Conjugated dot product <x|y> = sum conj(x_i) y_i.
-cplx dotc(size_t n, const cplx* x, const cplx* y);
+// Conjugated dot product acc + <x|y> = acc + sum conj(x_i) y_i, added in
+// index order: a dot split in two, the second part continuing from the
+// first part's value, is bitwise the unsplit one.
+cplx dotc(size_t n, const cplx* x, const cplx* y, cplx acc = 0.0);
 // Euclidean norm.
 real_t nrm2(size_t n, const cplx* x);
 void scal(size_t n, cplx alpha, cplx* x);

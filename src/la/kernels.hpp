@@ -31,11 +31,11 @@ inline void cx_axpy(size_t n, cplx alpha, const cplx* x, cplx* y) {
   }
 }
 
-// sum_i conj(x[i]) * y[i]
-inline cplx cx_dotc(size_t n, const cplx* x, const cplx* y) {
+// acc + sum_i conj(x[i]) * y[i], added in index order
+inline cplx cx_dotc(size_t n, const cplx* x, const cplx* y, cplx acc = 0.0) {
   const real_t* xs = reinterpret_cast<const real_t*>(x);
   const real_t* ys = reinterpret_cast<const real_t*>(y);
-  real_t sr = 0.0, si = 0.0;
+  real_t sr = acc.real(), si = acc.imag();
   for (size_t i = 0; i < n; ++i) {
     const real_t xr = xs[2 * i], xi = xs[2 * i + 1];
     const real_t yr = ys[2 * i], yi = ys[2 * i + 1];

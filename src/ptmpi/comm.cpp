@@ -374,7 +374,9 @@ void allreduce_impl(Group* g, int rank, T* data, size_t n) {
   // Deterministic reduction: every rank publishes its buffer, then sums all
   // contributions itself in communicator-rank order. The summation order is
   // therefore fixed (0, 1, ..., p-1) regardless of thread scheduling, and
-  // every rank ends up with bit-identical results.
+  // every rank ends up with bit-identical results. One rank's sum is its
+  // own buffer.
+  if (g->size() == 1) return;
   g->staged[static_cast<size_t>(rank)] = data;
   g->barrier();
   std::vector<T> acc(n, T{});
@@ -511,6 +513,10 @@ long Comm::fetch_add(const std::string& name, long delta) {
   return prev;
 }
 
+SelfComm::SelfComm()
+    : world_(std::make_unique<World>(1, 1)), comm_(world_.get(), 0) {}
+SelfComm::~SelfComm() = default;
+
 void set_wire_model(double base_seconds, double seconds_per_byte) {
   g_wire_base.store(base_seconds, std::memory_order_relaxed);
   g_wire_per_byte.store(seconds_per_byte, std::memory_order_relaxed);
@@ -527,23 +533,28 @@ void run_ranks(int nranks, int ranks_per_node,
                const std::function<void(Comm&)>& fn) {
   PTIM_CHECK(nranks >= 1 && ranks_per_node >= 1);
   World world(nranks, ranks_per_node);
-  std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<size_t>(nranks));
-  threads.reserve(static_cast<size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&world, &fn, &errors, r] {
-      // Tag the rank thread so obs spans recorded anywhere below fn —
-      // including backend streams it creates — carry the world rank.
-      obs::set_thread_rank(r);
-      try {
-        Comm comm(&world, r);
-        fn(comm);
-      } catch (...) {
-        errors[static_cast<size_t>(r)] = std::current_exception();
-      }
-    });
+  const auto run_rank = [&world, &fn, &errors](int r) {
+    // Tag the rank thread so obs spans recorded anywhere below fn —
+    // including backend streams it creates — carry the world rank.
+    obs::set_thread_rank(r);
+    try {
+      Comm comm(&world, r);
+      fn(comm);
+    } catch (...) {
+      errors[static_cast<size_t>(r)] = std::current_exception();
+    }
+  };
+  if (nranks == 1) {
+    const obs::ThreadTag caller = obs::thread_tag();
+    run_rank(0);
+    obs::set_thread_tag(caller);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<size_t>(nranks));
+    for (int r = 0; r < nranks; ++r) threads.emplace_back(run_rank, r);
+    for (auto& t : threads) t.join();
   }
-  for (auto& t : threads) t.join();
   {
     std::lock_guard<std::mutex> lock(g_last_stats_mu);
     g_last_stats = world.take_stats();

@@ -217,8 +217,26 @@ class Comm {
 // while the pipelined ring pays max(compute, wire).
 void set_wire_model(double base_seconds, double seconds_per_byte);
 
-// Launch `nranks` std::threads, each running fn(comm). Exceptions in any
-// rank are re-thrown on the caller thread.
+// A one-rank world owned by the caller: the serial layout of the band
+// layer. Its Comm runs every call on the calling thread (collectives
+// degenerate to copies) and still records them into stats().
+class SelfComm {
+ public:
+  SelfComm();
+  ~SelfComm();
+  SelfComm(const SelfComm&) = delete;
+  SelfComm& operator=(const SelfComm&) = delete;
+  Comm& comm() { return comm_; }
+
+ private:
+  std::unique_ptr<World> world_;
+  Comm comm_;
+};
+
+// Run fn(comm) on `nranks` ranks. Each rank is its own std::thread, except
+// that a single rank runs on the calling thread: a new thread also starts a
+// new OpenMP team, which made a 6-step one-rank PT-IM run 2.2-4.6x slower on
+// a 4-core host. Exceptions in any rank are re-thrown on the caller thread.
 void run_ranks(int nranks, int ranks_per_node,
                const std::function<void(Comm&)>& fn);
 

@@ -13,14 +13,22 @@ real_t dipole(const std::vector<real_t>& rho, const grid::FftGrid& g,
   PTIM_CHECK(rho.size() == g.size());
   const auto& dims = g.dims();
   const grid::Vec3 center = g.lattice().center();
-  real_t acc = 0.0;
-#pragma omp parallel for reduction(+ : acc) schedule(static) collapse(2)
-  for (size_t i2 = 0; i2 < dims[2]; ++i2)
+  // Per-plane partial sums added in plane order: a reduction clause would
+  // combine thread partials in arrival order, so one density could give
+  // dipoles that differ in the last bit from call to call.
+  std::vector<real_t> plane(dims[2], 0.0);
+#pragma omp parallel for schedule(static)
+  for (size_t i2 = 0; i2 < dims[2]; ++i2) {
+    real_t acc = 0.0;
     for (size_t i1 = 0; i1 < dims[1]; ++i1)
       for (size_t i0 = 0; i0 < dims[0]; ++i0) {
         const grid::Vec3 r = g.rvec(i0, i1, i2) - center;
         acc += grid::dot(r, dir) * rho[g.linear(i0, i1, i2)];
       }
+    plane[i2] = acc;
+  }
+  real_t acc = 0.0;
+  for (const real_t p : plane) acc += p;
   return acc * g.dvol();
 }
 

@@ -1,53 +1,119 @@
 #include "td/ptim.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "ham/density.hpp"
+#include "dist/mixer_dist.hpp"
+#include "dist/rotate.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
-#include "la/eig.hpp"
-#include "la/mixer.hpp"
 #include "la/util.hpp"
-#include "pw/wavefunction.hpp"
-#include "td/pack.hpp"
 
 namespace ptim::td {
 
-using detail::flatten;
-using detail::unflatten;
+namespace {
+
+// The fixed-point unknowns (Phi slice ++ sigma) as one Anderson vector.
+void flatten(const la::MatC& phi, const la::MatC& sigma,
+             std::vector<cplx>& out) {
+  out.resize(phi.size() + sigma.size());
+  std::copy(phi.data(), phi.data() + phi.size(), out.begin());
+  std::copy(sigma.data(), sigma.data() + sigma.size(),
+            out.begin() + static_cast<long>(phi.size()));
+}
+
+void unflatten(const std::vector<cplx>& in, la::MatC& phi, la::MatC& sigma) {
+  std::copy(in.begin(), in.begin() + static_cast<long>(phi.size()),
+            phi.data());
+  std::copy(in.begin() + static_cast<long>(phi.size()), in.end(),
+            sigma.data());
+}
+
+// (a + b) / 2, the midpoint of paper Eq. 4.
+la::MatC midpoint(const la::MatC& a, const la::MatC& b) {
+  la::MatC m(a.rows(), a.cols());
+  for (size_t i = 0; i < m.size(); ++i)
+    m.data()[i] = 0.5 * (a.data()[i] + b.data()[i]);
+  return m;
+}
+
+// The exchange knobs of PtImOptions reach the rank-local operator: the ring
+// slabs follow its precision and backend while sigma/overlap Allreduces stay
+// FP64, so trajectories stay bit-identical across ranks.
+void apply_exchange_knobs(ham::Hamiltonian& h, const PtImOptions& opt) {
+  if (opt.exchange_precision) h.set_exchange_precision(*opt.exchange_precision);
+  if (opt.exchange_backend) h.set_exchange_backend(*opt.exchange_backend);
+  if (opt.exchange_compression)
+    h.set_exchange_compression(*opt.exchange_compression);
+  if (opt.isdf_rank_factor) h.set_isdf_rank_factor(*opt.isdf_rank_factor);
+}
+
+}  // namespace
+
+TdState scatter_state(const TdState& full, const dist::BlockLayout& bands,
+                      int rank) {
+  TdState s;
+  s.phi = dist::scatter_bands(full.phi, bands, rank);
+  s.sigma = full.sigma;
+  s.time = full.time;
+  return s;
+}
+
+TdState gather_state(ptmpi::Comm& c, const TdState& local,
+                     const dist::BlockLayout& bands) {
+  TdState s;
+  s.phi = dist::gather_bands(c, local.phi, bands);
+  s.sigma = local.sigma;
+  s.time = local.time;
+  return s;
+}
 
 PtImPropagator::PtImPropagator(ham::Hamiltonian& h, PtImOptions opt,
                                const LaserPulse* laser)
-    : h_(&h), opt_(opt), laser_(laser) {
-  if (opt_.exchange_precision)
-    h_->set_exchange_precision(*opt_.exchange_precision);
-  if (opt_.exchange_backend) h_->set_exchange_backend(*opt_.exchange_backend);
-  if (opt_.exchange_compression)
-    h_->set_exchange_compression(*opt_.exchange_compression);
-  if (opt_.isdf_rank_factor) h_->set_isdf_rank_factor(*opt_.isdf_rank_factor);
+    : local_(&h),
+      self_(std::make_unique<ptmpi::SelfComm>()),
+      opt_(opt),
+      laser_(laser) {
+  apply_exchange_knobs(h, opt_);
+}
+
+PtImPropagator::PtImPropagator(dist::BandDistributedHamiltonian& h,
+                               PtImOptions opt, const LaserPulse* laser)
+    : local_(&h.local()), h_(&h), opt_(opt), laser_(laser) {
+  apply_exchange_knobs(h.local(), opt_);
+}
+
+PtImPropagator::~PtImPropagator() = default;
+
+void PtImPropagator::bind(const TdState& s) {
+  if (!self_ || (owned_ && owned_->bands().total() == s.nbands())) return;
+  owned_ = std::make_unique<dist::BandDistributedHamiltonian>(
+      self_->comm(), *local_, s.nbands());
+  h_ = owned_.get();
 }
 
 void PtImPropagator::configure_exchange_midpoint(const la::MatC& phih,
-                                                 la::MatC sigmah) {
+                                                 const la::MatC& sigmah,
+                                                 la::MatC theta) {
   if (!opt_.hybrid) {
-    h_->set_exchange_mode(ham::ExchangeMode::kNone);
+    h_->set_exchange_none();
     return;
   }
   switch (opt_.variant) {
     case PtImVariant::kBaseline:
-      h_->set_exchange_mode(ham::ExchangeMode::kExactNaive);
-      h_->set_exchange_source_mixed(phih, std::move(sigmah));
+      // Reuses the theta = Phi*sigma block the density pass circulated.
+      h_->set_exchange_source_mixed_naive(phih, sigmah, std::move(theta));
       if (stats_) ++stats_->exchange_applications;
       break;
     case PtImVariant::kDiag:
-      h_->set_exchange_mode(ham::ExchangeMode::kExactDiag);
-      h_->set_exchange_source_mixed(phih, std::move(sigmah));
+      h_->set_exchange_source_mixed_diag(phih, sigmah);
       if (stats_) ++stats_->exchange_applications;
       break;
     case PtImVariant::kAce:
-      // ACE is configured by step(); nothing to refresh per inner iteration.
+      // ACE is installed by step_advance; nothing to refresh per inner
+      // iteration.
       break;
   }
 }
@@ -58,48 +124,45 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
   const la::MatC& phin = start.phi;
   const la::MatC& sigman = start.sigma;
   const size_t npw = phin.rows();
-  const size_t nb = phin.cols();
-  const real_t dt = opt_.dt;
-  const cplx idt{0.0, dt};
+  const size_t nloc = phin.cols();
+  const size_t nb = sigman.rows();
+  const cplx idt{0.0, opt_.dt};
+  const bool naive = opt_.variant == PtImVariant::kBaseline;
 
-  la::AndersonMixer mixer(npw * nb + nb * nb, opt_.anderson_history,
-                          opt_.anderson_beta);
-  if (laser_) h_->set_vector_potential(laser_->vector_potential(t_half));
+  dist::DistAndersonMixer mixer(h_->comm(), npw * nloc, nb * nb,
+                                opt_.anderson_history, opt_.anderson_beta);
+  if (laser_) local_->set_vector_potential(laser_->vector_potential(t_half));
 
-  la::MatC phih(npw, nb), sigmah(nb, nb), hphi(npw, nb);
-  la::MatC m(nb, nb), s(nb, nb), x(nb, nb), proj(npw, nb);
+  la::MatC hphi(npw, nloc), x(nb, nb);
   std::vector<cplx> xv, fv;
 
   int it = 1;
   for (; it <= opt_.max_scf; ++it) {
     // Midpoints (paper Eq. 4).
-    for (size_t i = 0; i < phih.size(); ++i)
-      phih.data()[i] = 0.5 * (phi1.data()[i] + phin.data()[i]);
-    for (size_t i = 0; i < sigmah.size(); ++i)
-      sigmah.data()[i] = 0.5 * (sigma1.data()[i] + sigman.data()[i]);
+    const la::MatC phih = midpoint(phi1, phin);
+    la::MatC sigmah = midpoint(sigma1, sigman);
     la::hermitize(sigmah);
 
-    // Midpoint density and Hamiltonian (Eq. 5).
-    const std::vector<real_t> rho =
-        (opt_.variant == PtImVariant::kBaseline)
-            ? ham::density_sigma_naive(phih, sigmah, h_->den_map())
-            : ham::density_sigma(phih, sigmah, h_->den_map());
-    h_->set_density(rho);
-    configure_exchange_midpoint(phih, sigmah);
+    // Midpoint density and Hamiltonian (Eq. 5); rho is Allreduced, so every
+    // rank's local Hamiltonian sees identical potentials.
+    la::MatC theta;
+    h_->set_density(h_->density(phih, sigmah, &theta, naive));
+    configure_exchange_midpoint(phih, sigmah, std::move(theta));
     h_->apply(phih, hphi);
 
-    // M = Phi_h^H H Phi_h ; overlap S = Phi_h^H Phi_h.
-    la::gemm_cn(phih, hphi, m);
-    la::gemm_cn(phih, phih, s);
+    // Overlap S = Phi_h^H Phi_h and M = Phi_h^H H Phi_h (replicated), from
+    // one band->grid transpose of each block.
+    la::MatC s, m;
+    h_->overlap_pair(phih, hphi, &s, &m);
 
     // Projector part: P~ H Phi_h = Phi_h S^{-1} M.
     x = m;
     const la::MatC l = la::cholesky(s);
     la::cholesky_solve(l, x);
-    la::gemm_nn(phih, x, proj);
+    const la::MatC proj = h_->rotate(phih, x);
 
     // Updates (Eq. 6).
-    la::MatC phi_new(npw, nb), sigma_new(nb, nb);
+    la::MatC phi_new(npw, nloc), sigma_new(nb, nb);
     for (size_t i = 0; i < phi_new.size(); ++i)
       phi_new.data()[i] =
           phin.data()[i] - idt * (hphi.data()[i] - proj.data()[i]);
@@ -114,12 +177,15 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
       sigma_new = sigman;  // PT-CN: occupations frozen
     }
 
-    // Residual of the fixed point.
-    real_t rnum = 0.0, rden = 0.0;
+    // Residual of the fixed point: Phi part reduced over ranks, sigma part
+    // (replicated) added once after the reduction.
+    real_t acc[2] = {0.0, 0.0};
     for (size_t i = 0; i < phi_new.size(); ++i) {
-      rnum += std::norm(phi_new.data()[i] - phi1.data()[i]);
-      rden += std::norm(phi1.data()[i]);
+      acc[0] += std::norm(phi_new.data()[i] - phi1.data()[i]);
+      acc[1] += std::norm(phi1.data()[i]);
     }
+    h_->comm().allreduce_sum(acc, 2);
+    real_t rnum = acc[0], rden = acc[1];
     for (size_t i = 0; i < sigma_new.size(); ++i) {
       rnum += std::norm(sigma_new.data()[i] - sigma1.data()[i]);
       rden += std::norm(sigma1.data()[i]);
@@ -139,40 +205,18 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
       fv[i] = phi_new.data()[i] - phi1.data()[i];
     for (size_t i = 0; i < sigma1.size(); ++i)
       fv[phi1.size() + i] = sigma_new.data()[i] - sigma1.data()[i];
-    const std::vector<cplx> next = mixer.mix(xv, fv);
-    unflatten(next, phi1, sigma1);
+    unflatten(mixer.mix(xv, fv), phi1, sigma1);
   }
   return it;
 }
 
-real_t PtImPropagator::build_ace_from(const la::MatC& phi, la::MatC sigma) {
-  ScopedTimer t("ptim.ace_prepare");
-  la::hermitize(sigma);
-  const auto eig = la::eig_herm(sigma);
-  la::MatC rotated(phi.rows(), phi.cols());
-  la::gemm_nn(phi, eig.V, rotated);
-
-  la::MatC w;
-  ham::AceOperator ace =
-      ham::AceOperator::build_diag(h_->exchange_op(), rotated, eig.w, &w);
-  if (stats_) ++stats_->exchange_applications;
-
-  real_t ex = 0.0;
-  for (size_t b = 0; b < phi.cols(); ++b)
-    ex += eig.w[b] *
-          std::real(la::dotc(phi.rows(), rotated.col(b), w.col(b)));
-
-  h_->set_ace(std::move(ace));
-  return ex;
-}
-
 // Alg. 1 line 13: orthogonalize Phi, conjugate-symmetrize sigma. The
 // congruence sigma -> L^H sigma L keeps P = Phi sigma Phi^H invariant.
-static void orthonormalize_commit(TdState& s, la::MatC phi1, la::MatC sigma1,
-                                  real_t dt) {
-  la::MatC sfinal = pw::overlap(phi1, phi1);
+void PtImPropagator::commit(TdState& s, la::MatC phi1, la::MatC sigma1,
+                            const PtImStepStats& stats) {
+  const la::MatC sfinal = h_->overlap(phi1, phi1);
   const la::MatC l = la::cholesky(sfinal);
-  la::solve_upper_right(l, phi1);  // Phi <- Phi L^{-H}
+  phi1 = h_->solve_upper_right(l, phi1);  // Phi <- Phi L^{-H}
   la::MatC tmp(sigma1.rows(), sigma1.cols());
   la::gemm('C', 'N', 1.0, l, sigma1, 0.0, tmp);  // L^H sigma
   la::gemm_nn(tmp, l, sigma1);                   // (L^H sigma) L
@@ -180,22 +224,20 @@ static void orthonormalize_commit(TdState& s, la::MatC phi1, la::MatC sigma1,
 
   s.phi = std::move(phi1);
   s.sigma = std::move(sigma1);
-  s.time += dt;
+  s.time += opt_.dt;
+  if (hook_) hook_(s, stats);
 }
 
 void PtImPropagator::stage_ace_sources(StepSession& sess, const la::MatC& phi,
-                                       la::MatC sigma) const {
+                                       la::MatC sigma) {
   ScopedTimer t("ptim.ace_prepare");
-  la::hermitize(sigma);
-  const auto eig = la::eig_herm(sigma);
-  sess.ace_phi.resize(phi.rows(), phi.cols());
-  la::gemm_nn(phi, eig.V, sess.ace_phi);
-  sess.ace_occ = eig.w;
+  sess.ace_phi = h_->eigen_rotate(phi, std::move(sigma), &sess.ace_occ);
 }
 
 PtImPropagator::StepSession PtImPropagator::step_begin(const TdState& s) {
   PTIM_CHECK_MSG(opt_.variant == PtImVariant::kAce && opt_.hybrid,
                  "staged stepping is defined for the kAce hybrid variant");
+  bind(s);
   StepSession sess;
   sess.t_half = s.time + 0.5 * opt_.dt;
   sess.phi1 = s.phi;
@@ -208,16 +250,9 @@ PtImPropagator::StepSession PtImPropagator::step_begin(const TdState& s) {
 bool PtImPropagator::step_advance(const TdState& s, StepSession& sess,
                                   const la::MatC& w) {
   // Install the ACE surrogate compressed from the staged sources and their
-  // freshly applied exchange W, and estimate the Fock energy — exactly
-  // build_ace_from with the apply_diag hoisted out to the caller.
-  ham::AceOperator ace = ham::AceOperator::build(sess.ace_phi, w);
+  // freshly applied exchange W, and estimate the Fock energy.
+  const real_t ex = h_->set_ace(sess.ace_phi, sess.ace_occ, w);
   ++sess.stats.exchange_applications;
-  real_t ex = 0.0;
-  for (size_t b = 0; b < sess.ace_phi.cols(); ++b)
-    ex += sess.ace_occ[b] *
-          std::real(la::dotc(sess.ace_phi.rows(), sess.ace_phi.col(b),
-                             w.col(b)));
-  h_->set_ace(std::move(ace));
 
   if (sess.outer == 0) {
     sess.ex_prev = ex;  // the t_n build: no convergence check yet
@@ -228,34 +263,29 @@ bool PtImPropagator::step_advance(const TdState& s, StepSession& sess,
   }
 
   ++sess.stats.outer_iterations;
-  stats_ = &sess.stats;
   sess.stats.scf_iterations +=
       fixed_point(s, sess.phi1, sess.sigma1, sess.t_half, &sess.residual);
-  stats_ = nullptr;
   ++sess.outer;
 
   // Rebuild ACE from the converged midpoint state.
-  la::MatC phih(sess.phi1.rows(), sess.phi1.cols());
-  la::MatC sigmah(sess.sigma1.rows(), sess.sigma1.cols());
-  for (size_t i = 0; i < phih.size(); ++i)
-    phih.data()[i] = 0.5 * (sess.phi1.data()[i] + s.phi.data()[i]);
-  for (size_t i = 0; i < sigmah.size(); ++i)
-    sigmah.data()[i] = 0.5 * (sess.sigma1.data()[i] + s.sigma.data()[i]);
-  stage_ace_sources(sess, phih, std::move(sigmah));
+  stage_ace_sources(sess, midpoint(sess.phi1, s.phi),
+                    midpoint(sess.sigma1, s.sigma));
   return true;
 }
 
 PtImStepStats PtImPropagator::step_finish(TdState& s, StepSession& sess) {
   sess.stats.residual = sess.residual;
   sess.stats.converged = sess.residual < opt_.tol;
-  orthonormalize_commit(s, std::move(sess.phi1), std::move(sess.sigma1),
-                        opt_.dt);
-  if (hook_) hook_(s, sess.stats);
+  commit(s, std::move(sess.phi1), std::move(sess.sigma1), sess.stats);
   return sess.stats;
 }
 
 PtImStepStats PtImPropagator::step(TdState& s) {
-  ScopedTimer timer("td.ptim_step", obs::Cat::kStep);
+  bind(s);
+  // Span names the layer table keys on: a serial step, or one rank's
+  // distributed step.
+  ScopedTimer timer(h_->comm().size() == 1 ? "td.ptim_step" : "td.dist_step",
+                    obs::Cat::kStep);
 
   if (opt_.variant == PtImVariant::kAce && opt_.hybrid) {
     // The ACE double loop, driven through the staged protocol (so the
@@ -263,30 +293,22 @@ PtImStepStats PtImPropagator::step(TdState& s) {
     // batches): each round applies exchange to the staged sources, then
     // step_advance installs the ACE and runs the inner fixed point.
     StepSession sess = step_begin(s);
-    la::MatC w;
-    do {
-      w.resize(sess.ace_phi.rows(), sess.ace_phi.cols());
-      h_->exchange_op().apply_diag(sess.ace_phi, sess.ace_occ, sess.ace_phi,
-                                   w, false);
-    } while (step_advance(s, sess, w));
+    la::MatC w = h_->exchange_diag(sess.ace_phi, sess.ace_occ, sess.ace_phi);
+    while (step_advance(s, sess, w))
+      w = h_->exchange_diag(sess.ace_phi, sess.ace_occ, sess.ace_phi);
     return step_finish(s, sess);
   }
 
   PtImStepStats stats;
   stats_ = &stats;
-  const real_t t_half = s.time + 0.5 * opt_.dt;
   la::MatC phi1 = s.phi;
   la::MatC sigma1 = s.sigma;
-
   stats.outer_iterations = 1;
-  real_t res = 0.0;
-  stats.scf_iterations = fixed_point(s, phi1, sigma1, t_half, &res);
-  stats.residual = res;
-  stats.converged = res < opt_.tol;
-
-  orthonormalize_commit(s, std::move(phi1), std::move(sigma1), opt_.dt);
+  stats.scf_iterations =
+      fixed_point(s, phi1, sigma1, s.time + 0.5 * opt_.dt, &stats.residual);
+  stats.converged = stats.residual < opt_.tol;
   stats_ = nullptr;
-  if (hook_) hook_(s, stats);
+  commit(s, std::move(phi1), std::move(sigma1), stats);
   return stats;
 }
 

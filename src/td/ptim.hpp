@@ -12,17 +12,29 @@
 // sigma is congruence-transformed (sigma -> L^H sigma L) so the physical
 // density matrix P = Phi sigma Phi^H is untouched.
 //
+// There is one implementation, band-parallel (paper Secs. IV-B/IV-C): it
+// runs on a dist::BandDistributedHamiltonian, each rank propagating its
+// band slice of Phi while sigma and every nb x nb matrix stay replicated.
+// A serial propagator is the one-rank layout on the calling thread, built
+// by the ham::Hamiltonian constructor; there every collective is a copy and
+// the arithmetic is the dense serial one bit for bit. Results are
+// bit-identical across the ranks of one run; different rank counts agree
+// to rounding (the golden fixture pins 1e-10).
+//
 // Variants map onto the paper's optimization ladder:
-//   kBaseline — Alg. 2 naive mixed-state exchange (N^3 FFTs) + naive density,
+//   kBaseline — Alg. 2 naive mixed-state exchange (N^3 FFTs at one rank) +
+//               naive density,
 //   kDiag     — occupation-matrix diagonalization (N^2 FFTs),
 //   kAce      — kDiag plus the ACE double loop (exact exchange applied only
 //               once per outer iteration; the paper's 25 -> 5 reduction).
 
 #include <functional>
+#include <memory>
 #include <optional>
 
-#include "dist/layout.hpp"
+#include "dist/band_ham.hpp"
 #include "ham/hamiltonian.hpp"
+#include "ptmpi/comm.hpp"
 #include "td/laser.hpp"
 #include "td/state.hpp"
 
@@ -58,12 +70,6 @@ struct PtImOptions {
   // state. Unset keeps the Hamiltonian's configuration.
   std::optional<ham::ExchangeCompression> exchange_compression;
   std::optional<real_t> isdf_rank_factor;
-  // 2-D band x grid process layout of distributed runs (ignored by the
-  // serial propagator): nranks = pb*pg ranks split into pb band rows and pg
-  // grid columns; exact exchange FFTs run slab-distributed over the grid
-  // dimension (dist/slab_exchange). pg = 1 (default) is the pure
-  // band-parallel layout, bit-for-bit today's path.
-  dist::ProcessGrid process_grid;
   // false = PT-CN mode: freeze sigma and evolve only Phi — the earlier
   // parallel-transport Crank-Nicolson scheme (Jia et al., JCTC 2018) that
   // is valid for gapped/pure-state systems. PT-IM generalizes it to mixed
@@ -79,19 +85,35 @@ struct PtImStepStats {
   bool converged = false;
 };
 
+// This rank's band slice of a full state (sigma and time are replicated),
+// and the full state back from every rank's slice — a collective over the
+// band communicator.
+TdState scatter_state(const TdState& full, const dist::BlockLayout& bands,
+                      int rank);
+TdState gather_state(ptmpi::Comm& c, const TdState& local,
+                     const dist::BlockLayout& bands);
+
 class PtImPropagator {
  public:
+  // Serial propagator: wraps h in a one-rank band layer that it owns (built
+  // at the first step, when the band count is known) and runs on the
+  // calling thread.
   PtImPropagator(ham::Hamiltonian& h, PtImOptions opt, const LaserPulse* laser);
+  // Propagator over a band layout; every rank of h.comm() steps its own
+  // slice (TdState::phi holds this rank's bands). Collective calls.
+  PtImPropagator(dist::BandDistributedHamiltonian& h, PtImOptions opt,
+                 const LaserPulse* laser);
+  ~PtImPropagator();
 
+  // One PT-IM step. The returned stats are identical on every rank.
   PtImStepStats step(TdState& s);
   const PtImOptions& options() const { return opt_; }
 
   // Invoked once per completed step, AFTER the new state is committed
   // (orthonormalized Phi, congruence-transformed sigma, advanced time) —
   // for both the plain step() path and the staged protocol (step_finish
-  // fires it). This is the periodic-side-effect seam the serving layer
-  // uses for auto-checkpointing: the hook observes exactly the state a
-  // resume would restore, so saving from it is bitwise-safe. The hook
+  // fires it). The hook observes exactly the state a resume would restore
+  // (this rank's slice of it), so saving from it is bitwise-safe. The hook
   // must not mutate the state.
   using StepHook = std::function<void(const TdState&, const PtImStepStats&)>;
   void set_step_hook(StepHook hook) { hook_ = std::move(hook); }
@@ -105,8 +127,8 @@ class PtImPropagator {
   //   auto sess = prop.step_begin(s);
   //   do {
   //     // W for THIS session's pending ACE sources, by any bit-identical
-  //     // route (serial step() uses apply_diag; the ensemble driver uses
-  //     //  apply_diag_packed):
+  //     // route (step() uses the band layer's exchange_diag; at one rank
+  //     // the ensemble driver uses apply_diag_packed):
   //     xop.apply_diag(sess.ace_phi, sess.ace_occ, sess.ace_phi, w, false);
   //   } while (prop.step_advance(s, sess, w));
   //   stats = prop.step_finish(s, sess);
@@ -118,9 +140,9 @@ class PtImPropagator {
   // the packed exchange is bitwise per job).
   struct StepSession {
     real_t t_half = 0.0;
-    la::MatC phi1, sigma1;        // fixed-point iterate
-    la::MatC ace_phi;             // pending ACE build sources: rotated
-    std::vector<real_t> ace_occ;  // orbitals + eigen-occupations
+    la::MatC phi1, sigma1;        // fixed-point iterate (phi1: this rank's)
+    la::MatC ace_phi;             // pending ACE build sources: this rank's
+    std::vector<real_t> ace_occ;  // rotated orbitals + eigen-occupations
     real_t ex_prev = 0.0;         // last exchange-energy estimate
     real_t residual = 0.0;
     int outer = 0;                // fixed-point rounds completed
@@ -139,24 +161,35 @@ class PtImPropagator {
   PtImStepStats step_finish(TdState& s, StepSession& sess);
 
  private:
+  // Point h_ at the owned one-rank layer for s's band count (Hamiltonian
+  // constructor only; a no-op over a caller's band layer).
+  void bind(const TdState& s);
+
   // Inner fixed-point loop with the currently configured exchange; updates
   // (phi1, sigma1) in place and returns iterations used.
   int fixed_point(const TdState& start, la::MatC& phi1, la::MatC& sigma1,
                   real_t t_half, real_t* residual_out);
 
-  // Exact-exchange application + ACE compression from (phi, sigma);
-  // returns the exchange energy estimate.
-  real_t build_ace_from(const la::MatC& phi, la::MatC sigma);
+  // Refresh the exchange source from the midpoint (Baseline / Diag; ACE is
+  // installed by step_advance). theta is the density pass's Phi*sigma block.
+  void configure_exchange_midpoint(const la::MatC& phih,
+                                   const la::MatC& sigmah, la::MatC theta);
 
-  // Stage ACE build sources into the session: hermitize-copy sigma,
-  // diagonalize, rotate phi into the eigenbasis (the expensive exchange
-  // application on these sources is the caller's job).
+  // Stage ACE build sources into the session: the eigen-rotation of
+  // (phi, sigma) (the expensive exchange application on these sources is
+  // the caller's job).
   void stage_ace_sources(StepSession& sess, const la::MatC& phi,
-                         la::MatC sigma) const;
+                         la::MatC sigma);
 
-  void configure_exchange_midpoint(const la::MatC& phih, la::MatC sigmah);
+  // Alg. 1 line 13: orthonormalize, congruence-transform sigma, advance
+  // time, fire the hook.
+  void commit(TdState& s, la::MatC phi1, la::MatC sigma1,
+              const PtImStepStats& stats);
 
-  ham::Hamiltonian* h_;
+  ham::Hamiltonian* local_;                       // this rank's Hamiltonian
+  std::unique_ptr<ptmpi::SelfComm> self_;         // Hamiltonian ctor only
+  std::unique_ptr<dist::BandDistributedHamiltonian> owned_;
+  dist::BandDistributedHamiltonian* h_ = nullptr;
   PtImOptions opt_;
   const LaserPulse* laser_;
   StepHook hook_;                   // post-commit per-step callback

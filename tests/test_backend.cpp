@@ -177,7 +177,7 @@ std::vector<la::MatC> run_dist_diag(const XEnv& e, backend::Kind kind,
   std::vector<la::MatC> blocks(static_cast<size_t>(p));
   ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
     blocks[static_cast<size_t>(c.rank())] =
-        dist::exchange_apply_distributed(c, xop, src, d, tgt, pat);
+        test::exchange_block(c, xop, src, d, tgt, pat);
   });
   return blocks;
 }
@@ -322,7 +322,7 @@ TEST(OverlappedRing, ApplyExceptionDrainsAndPropagates) {
                              bands.count(c.rank()) * stride,
                              cplx(static_cast<real_t>(c.rank())));
                          dist::circulate_slabs(
-                             c, bands, stride, mine,
+                             c, bands, stride, mine.data(),
                              dist::ExchangePattern::kAsyncRing,
                              [&](const cplx*, int origin) {
                                if (c.rank() == 0 && origin == 1)

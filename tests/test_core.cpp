@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <thread>
 
 #include "core/simulation.hpp"
 #include "gs/scf.hpp"
 #include "ham/density.hpp"
 #include "netsim/memory.hpp"
+#include "obs/obs.hpp"
 #include "pw/wavefunction.hpp"
 #include "td/observables.hpp"
 #include "test_helpers.hpp"
@@ -129,6 +132,71 @@ TEST(Simulation, ZeroExchangeBatchRejectedBeforeAnyStep) {
     EXPECT_EQ(sim.exchange_batch(), bs);
     EXPECT_EQ(sim.spec().ham.exchange.batch_size, bs);
   }
+}
+
+TEST(Simulation, OneRankRunsOnCallingThread) {
+  // nranks == 1 runs on the caller's thread: a rank thread would also start
+  // a fresh OpenMP team, a measured 2.2-4.6x slowdown.
+  auto& sim = shared_sim();
+  core::RunConfig cfg;
+  cfg.steps = 2;
+  cfg.dt = 1.0;
+  cfg.variant = td::PtImVariant::kAce;
+  const std::thread::id caller = std::this_thread::get_id();
+  int off_thread = 0;
+  core::MeasurementSet m;
+  m.add("thread", [&](const core::MeasureContext&) {
+    if (std::this_thread::get_id() != caller) ++off_thread;
+    return 0.0;
+  });
+  const auto r = sim.run(cfg, std::move(m));
+  EXPECT_EQ(r.measurements.series("thread").size(), 2u);
+  EXPECT_EQ(off_thread, 0);
+  ASSERT_EQ(r.comm.size(), 1u);  // the one-rank world still records traffic
+  EXPECT_GT(r.comm[0].ops.at("Allreduce").calls, 0);
+}
+
+TEST(Simulation, OneRankRunKeepsFockTerm) {
+  // The band layer applies exchange itself and must leave the caller's
+  // Hamiltonian mode alone: at one rank that Hamiltonian is the
+  // Simulation's, and energy() reads its Fock term from it.
+  auto& sim = shared_sim();
+  core::RunConfig cfg;
+  cfg.steps = 1;
+  cfg.dt = 1.0;
+  cfg.variant = td::PtImVariant::kAce;
+  const auto r = sim.run(cfg);
+  const real_t fock = sim.energy(r.final_state).fock;
+  EXPECT_LT(fock, 0.0);
+
+  // An untouched observer: any non-kNone mode evaluates the Fock term from
+  // the passed (phi, sigma).
+  auto observer = sim.make_rank_hamiltonian();
+  observer->set_exchange_mode(ham::ExchangeMode::kExactDiag);
+  const std::vector<real_t> rho = sim.density(r.final_state);
+  observer->set_density(rho);
+  const real_t want =
+      observer->energy(r.final_state.phi, r.final_state.sigma, rho).fock;
+  EXPECT_NEAR(fock, want, 1e-12 * std::abs(want));
+}
+
+TEST(Simulation, ThrowingRunRestoresTracing) {
+  // A traced run that throws must still turn tracing back off.
+  auto& sim = shared_sim();
+  ASSERT_FALSE(obs::enabled());
+  core::RunConfig cfg;
+  cfg.steps = 2;
+  cfg.dt = 1.0;
+  cfg.trace_path = "test_core_throwing_trace.json";
+  core::MeasurementSet m;
+  m.add("fuse", [](const core::MeasureContext&) -> real_t {
+    throw Error("injected probe failure");
+  });
+  EXPECT_THROW(sim.run(cfg, std::move(m)), Error);
+  EXPECT_FALSE(obs::enabled());
+  obs::set_enabled(false);  // keep later tests untraced even on failure
+  obs::clear();
+  std::remove(cfg.trace_path.c_str());
 }
 
 TEST(PtCn, FrozenSigmaMode) {

@@ -10,6 +10,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "dist/exchange_dist.hpp"
+#include "dist/rotate.hpp"
 #include "grid/fft_grid.hpp"
 #include "grid/gsphere.hpp"
 #include "ham/hamiltonian.hpp"
@@ -107,6 +109,23 @@ inline la::MatC random_real_orbitals(const pw::SphereGridMap& map, size_t nb,
   }
   pw::orthonormalize_lowdin(phi);
   return phi;
+}
+
+// This rank's block of alpha*Vx[src,d]*tgt from full (replicated) inputs:
+// slices src, d and tgt over c.size() ranks with BlockLayout and calls the
+// rank-local distributed exchange.
+inline la::MatC exchange_block(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
+                               const la::MatC& src,
+                               const std::vector<real_t>& d,
+                               const la::MatC& tgt, dist::ExchangePattern pat) {
+  const int me = c.rank();
+  const dist::BlockLayout sb(src.cols(), c.size()), tb(tgt.cols(), c.size());
+  const std::vector<real_t> d_local(
+      d.begin() + static_cast<long>(sb.offset(me)),
+      d.begin() + static_cast<long>(sb.offset(me) + sb.count(me)));
+  return dist::exchange_apply_distributed_local(
+      c, xop, dist::scatter_bands(src, sb, me), d_local,
+      dist::scatter_bands(tgt, tb, me), sb, pat);
 }
 
 // ------------------------------------------------------ golden fixtures --

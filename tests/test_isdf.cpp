@@ -224,14 +224,14 @@ TEST(IsdfDist, FitIsBitwiseIdenticalAcrossRanks) {
   const size_t nb = 7;  // non-divisible over 3 ranks
   const auto p = ApplyProblem::make(npw, nb, 421);
   const int nranks = 3;
-  const dist::BlockLayout bands(nb, nranks);
+  const dist::BlockLayout bands(nb, nranks), tgts(p.tgt.cols(), nranks);
 
   std::vector<ham::isdf::Fit> fits(nranks);
   ptmpi::run_ranks(nranks, 1, [&](ptmpi::Comm& c) {
     const int me = c.rank();
     const auto xop = make_xop(map, ham::ExchangeCompression::kIsdf, 6.0);
     const la::MatC src_local = dist::scatter_bands(p.phi, bands, me);
-    const la::MatC tgt_local = dist::scatter_bands(p.tgt, bands, me);
+    const la::MatC tgt_local = dist::scatter_bands(p.tgt, tgts, me);
     fits[static_cast<size_t>(me)] =
         dist::isdf_fit_distributed(c, xop, src_local, p.d, tgt_local, bands);
   });
@@ -302,10 +302,9 @@ TEST(IsdfDist, SlabGridLayoutIsRejected) {
     const int br = bopt.grid.band_rank_of(c.rank());
     const la::MatC phi = test::random_orbitals(sys.sphere->npw(), nb, 425);
     const la::MatC src_local = dist::scatter_bands(phi, bands, br);
-    const la::MatC sigma = test::random_occupation_matrix(nb, 426);
+    const std::vector<real_t> d_local(src_local.cols(), 1.0);
     try {
-      // build_ace routes through the (private) diag exchange entry point.
-      (void)bdh.build_ace(src_local, sigma);
+      (void)bdh.exchange_diag(src_local, d_local, src_local);
     } catch (const Error&) {
       threw[static_cast<size_t>(c.rank())] = 1;
     }

@@ -235,8 +235,8 @@ TEST(PrecisionDist, RingMovesHalfTheBytes) {
   auto ring_bytes = [&](Precision p) {
     const auto xop = make_xop(map, p);
     ptmpi::run_ranks(4, 2, [&](ptmpi::Comm& c) {
-      (void)dist::exchange_apply_distributed(c, xop, phi, d, phi,
-                                             dist::ExchangePattern::kRing);
+      (void)test::exchange_block(c, xop, phi, d, phi,
+                                 dist::ExchangePattern::kRing);
     });
     long long bytes = 0;
     const auto& st = ptmpi::last_run_stats()[0];
@@ -273,7 +273,7 @@ TEST(PrecisionDist, DistributedMatchesSerialBothPrecisions) {
       la::MatC gathered(npw, nb);
       ptmpi::run_ranks(3, 1, [&](ptmpi::Comm& c) {
         const la::MatC mine =
-            dist::exchange_apply_distributed(c, xop, phi, d, phi, pat);
+            test::exchange_block(c, xop, phi, d, phi, pat);
         const dist::BlockLayout tb(nb, c.size());
         // Collect each rank's target block into the shared output.
         for (size_t b = 0; b < tb.count(c.rank()); ++b)
