@@ -98,37 +98,34 @@ la::MatC BandDistributedHamiltonian::solve_upper_right(
 }
 
 std::vector<real_t> BandDistributedHamiltonian::density(
-    const la::MatC& phi_local, const la::MatC& sigma, la::MatC* theta_out,
-    bool naive) {
+    const la::MatC& phi_local, const la::MatC& sigma, bool naive) {
   if (naive && one_rank_)
     return ham::density_sigma_naive(phi_local, sigma, h_->den_map());
   ScopedTimer t("density.sigma");
-  la::MatC theta_local = rotate(phi_local, sigma);
-  const auto& map = h_->den_map();
-  const size_t ng = map.grid().size();
-  std::vector<real_t> rho(ng, 0.0);
-  std::vector<cplx> wphi(ng), wtheta(ng);
-  for (size_t b = 0; b < phi_local.cols(); ++b) {
-    map.to_real(phi_local.col(b), wphi.data());
-    map.to_real(theta_local.col(b), wtheta.data());
-#pragma omp parallel for schedule(static)
-    for (size_t j = 0; j < ng; ++j)
-      rho[j] += 2.0 * std::real(wtheta[j] * std::conj(wphi[j]));
-  }
-  c_->allreduce_sum(rho.data(), ng);
-  if (theta_out) *theta_out = std::move(theta_local);
+  std::vector<real_t> occ_local;
+  const la::MatC rot_local = eigen_rotate(phi_local, sigma, &occ_local);
+  std::vector<real_t> rho =
+      ham::density_diag(rot_local, occ_local, h_->den_map());
+  c_->allreduce_sum(rho.data(), rho.size());
+  return rho;
+}
+
+std::vector<real_t> BandDistributedHamiltonian::density(
+    const la::MatC& rot_local, const std::vector<real_t>& occ_local) {
+  ScopedTimer t("density.sigma");
+  std::vector<real_t> rho =
+      ham::density_diag(rot_local, occ_local, h_->den_map());
+  c_->allreduce_sum(rho.data(), rho.size());
   return rho;
 }
 
 void BandDistributedHamiltonian::set_exchange_source_mixed_naive(
-    const la::MatC& phi_local, const la::MatC& sigma, la::MatC theta_local) {
+    const la::MatC& phi_local, const la::MatC& sigma) {
   xsrc_local_ = phi_local;
   if (one_rank_)
     xsigma_ = sigma;
   else
-    xtheta_local_ = theta_local.same_shape(phi_local)
-                        ? std::move(theta_local)
-                        : rotate(phi_local, sigma);
+    xtheta_local_ = rotate(phi_local, sigma);
   xmode_ = BandExchangeMode::kMixedNaive;
 }
 
@@ -144,8 +141,9 @@ la::MatC BandDistributedHamiltonian::eigen_rotate(
 }
 
 void BandDistributedHamiltonian::set_exchange_source_mixed_diag(
-    const la::MatC& phi_local, la::MatC sigma) {
-  xsrc_local_ = eigen_rotate(phi_local, std::move(sigma), &xocc_local_);
+    la::MatC rot_local, std::vector<real_t> occ_local) {
+  xsrc_local_ = std::move(rot_local);
+  xocc_local_ = std::move(occ_local);
   xmode_ = BandExchangeMode::kMixedDiag;
 }
 

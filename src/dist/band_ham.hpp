@@ -17,7 +17,9 @@
 //  * overlaps S, M           — band->grid Alltoallv transpose + partial
 //                              gemm + Allreduce, optionally staged through
 //                              the node-shared window (dist/transpose),
-//  * density                 — local band accumulation + grid Allreduce,
+//  * density                 — the sigma eigen-rotation (a band rotation),
+//                              ham::density_diag on the local block +
+//                              grid Allreduce,
 //  * occupations / gathers   — Allgatherv.
 //
 // Each rank must bring its OWN ham::Hamiltonian instance (the Hamiltonian
@@ -87,16 +89,18 @@ class BandDistributedHamiltonian {
   // A <- A L^{-H} (replicated lower-triangular L), serial-identical rows.
   la::MatC solve_upper_right(const la::MatC& l, const la::MatC& a_local);
 
-  // --- density ---------------------------------------------------------
-  // rho = 2 Re sum_b theta_b(r) conj(phi_b(r)) with theta = Phi sigma;
-  // local bands accumulated, then Allreduced (identical on every rank).
-  // theta_out (optional) receives the circulated theta block so callers can
-  // reuse it (the baseline exchange needs the same contraction).
-  // naive = the paper's Alg. 2 baseline: at one rank the N^2 pair sum of
-  // ham::density_sigma_naive runs instead (theta_out is left empty).
+  // --- density ----------------------------------------------------------
+  // rho = 2 sum_b d_b |(Phi Q)_b(r)|^2 in sigma's eigenbasis (sigma =
+  // Q D Q^H): eigen_rotate, ham::density_diag on this rank's block, then
+  // the grid Allreduce (identical on every rank). At one rank this is
+  // bitwise ham::density_sigma. naive = the paper's Alg. 2 baseline: at
+  // one rank the N^2 pair sum of ham::density_sigma_naive runs instead.
   std::vector<real_t> density(const la::MatC& phi_local, const la::MatC& sigma,
-                              la::MatC* theta_out = nullptr,
                               bool naive = false);
+  // The same density from an eigen_rotate result (rotated block and its
+  // eigen-occupation slice), for callers that reuse the rotation.
+  std::vector<real_t> density(const la::MatC& rot_local,
+                              const std::vector<real_t>& occ_local);
   void set_density(const std::vector<real_t>& rho) { h_->set_density(rho); }
 
   // --- exchange configuration (the P in Vx[P]) -------------------------
@@ -104,14 +108,13 @@ class BandDistributedHamiltonian {
   // Alg. 2 baseline. At one rank the full sigma is kept and the exchange
   // runs the naive N^3 pair loop (ExchangeOperator::apply_mixed_naive),
   // which is the cost the paper's BL -> Diag step removes. Distributed, the
-  // sigma contraction rides along as theta = Phi sigma: pass a precomputed
-  // theta block (from density()) to skip its circulation.
+  // sigma contraction rides along as theta = Phi sigma, circulated here.
   void set_exchange_source_mixed_naive(const la::MatC& phi_local,
-                                       const la::MatC& sigma,
-                                       la::MatC theta_local = {});
-  // Diag optimization: sigma = Q D Q^H once, circulate rotated orbitals.
-  void set_exchange_source_mixed_diag(const la::MatC& phi_local,
-                                      la::MatC sigma);
+                                       const la::MatC& sigma);
+  // Diag optimization: exchange sources are an eigen_rotate result (the
+  // rotated block and its eigen-occupation slice), circulated as they are.
+  void set_exchange_source_mixed_diag(la::MatC rot_local,
+                                      std::vector<real_t> occ_local);
   // Eigen-rotation of (Phi, sigma): hermitize sigma, diagonalize it
   // (replicated, so Q is identical on every rank) and return this rank's
   // block of Phi Q; occ_local receives the matching eigenvalue slice.

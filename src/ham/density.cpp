@@ -1,9 +1,13 @@
 #include "ham/density.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "common/ordered_sum.hpp"
 #include "common/timer.hpp"
 #include "la/blas.hpp"
 #include "la/eig.hpp"
+#include "la/util.hpp"
 
 namespace ptim::ham {
 
@@ -12,15 +16,32 @@ std::vector<real_t> density_diag(const la::MatC& phi_coeffs,
                                  const pw::SphereGridMap& map) {
   ScopedTimer t("density.diag");
   PTIM_CHECK(occ.size() == phi_coeffs.cols());
+  constexpr size_t kTile = 4;
+  const size_t npw = phi_coeffs.rows();
   const size_t ng = map.grid().size();
+  std::vector<size_t> live;  // occupied columns, in band order
+  for (size_t b = 0; b < occ.size(); ++b)
+    if (occ[b] != 0.0) live.push_back(b);
+
   std::vector<real_t> rho(ng, 0.0);
-  std::vector<cplx> work(ng);
-  for (size_t b = 0; b < phi_coeffs.cols(); ++b) {
-    if (occ[b] == 0.0) continue;
-    map.to_real(phi_coeffs.col(b), work.data());
-    const real_t w = 2.0 * occ[b];
+  la::MatC tile, real_tile;
+  for (size_t t0 = 0; t0 < live.size(); t0 += kTile) {
+    const size_t nt = std::min(kTile, live.size() - t0);
+    real_t w[kTile] = {};
+    tile.resize(npw, nt);
+    for (size_t k = 0; k < nt; ++k) {
+      const size_t b = live[t0 + k];
+      w[k] = 2.0 * occ[b];
+      std::copy(phi_coeffs.col(b), phi_coeffs.col(b) + npw, tile.col(k));
+    }
+    map.to_real_batch(tile, real_tile);
+    const cplx* r = real_tile.data();
 #pragma omp parallel for schedule(static)
-    for (size_t j = 0; j < ng; ++j) rho[j] += w * std::norm(work[j]);
+    for (size_t j = 0; j < ng; ++j) {
+      real_t acc = rho[j];
+      for (size_t k = 0; k < nt; ++k) acc += w[k] * std::norm(r[k * ng + j]);
+      rho[j] = acc;
+    }
   }
   return rho;
 }
@@ -31,21 +52,12 @@ std::vector<real_t> density_sigma(const la::MatC& phi_coeffs,
   ScopedTimer t("density.sigma");
   const size_t nb = phi_coeffs.cols();
   PTIM_CHECK(sigma.rows() == nb && sigma.cols() == nb);
-  la::MatC theta(phi_coeffs.rows(), nb);
-  la::gemm_nn(phi_coeffs, sigma, theta);
-
-  const size_t ng = map.grid().size();
-  std::vector<real_t> rho(ng, 0.0);
-  std::vector<cplx> wphi(ng), wtheta(ng);
-  for (size_t b = 0; b < nb; ++b) {
-    map.to_real(phi_coeffs.col(b), wphi.data());
-    map.to_real(theta.col(b), wtheta.data());
-    // rho += 2 * Re(theta_b(r) * conj(phi_b(r)))
-#pragma omp parallel for schedule(static)
-    for (size_t j = 0; j < ng; ++j)
-      rho[j] += 2.0 * std::real(wtheta[j] * std::conj(wphi[j]));
-  }
-  return rho;
+  la::MatC s = sigma;
+  la::hermitize(s);
+  const auto eig = la::eig_herm(s);
+  la::MatC rotated(phi_coeffs.rows(), nb);
+  la::gemm_nn(phi_coeffs, eig.V, rotated);
+  return density_diag(rotated, eig.w, map);
 }
 
 std::vector<real_t> density_sigma_naive(const la::MatC& phi_coeffs,
@@ -76,10 +88,7 @@ std::vector<real_t> density_sigma_naive(const la::MatC& phi_coeffs,
 
 real_t integrate(const std::vector<real_t>& rho, const grid::FftGrid& g) {
   PTIM_CHECK(rho.size() == g.size());
-  real_t acc = 0.0;
-#pragma omp parallel for reduction(+ : acc) schedule(static)
-  for (size_t i = 0; i < rho.size(); ++i) acc += rho[i];
-  return acc * g.dvol();
+  return ordered_sum(rho.size(), [&](size_t i) { return rho[i]; }) * g.dvol();
 }
 
 }  // namespace ptim::ham

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/ordered_sum.hpp"
 #include "la/blas.hpp"
 #include "la/util.hpp"
 
@@ -13,22 +14,19 @@ real_t dipole(const std::vector<real_t>& rho, const grid::FftGrid& g,
   PTIM_CHECK(rho.size() == g.size());
   const auto& dims = g.dims();
   const grid::Vec3 center = g.lattice().center();
-  // Per-plane partial sums added in plane order: a reduction clause would
-  // combine thread partials in arrival order, so one density could give
-  // dipoles that differ in the last bit from call to call.
-  std::vector<real_t> plane(dims[2], 0.0);
-#pragma omp parallel for schedule(static)
-  for (size_t i2 = 0; i2 < dims[2]; ++i2) {
-    real_t acc = 0.0;
-    for (size_t i1 = 0; i1 < dims[1]; ++i1)
-      for (size_t i0 = 0; i0 < dims[0]; ++i0) {
-        const grid::Vec3 r = g.rvec(i0, i1, i2) - center;
-        acc += grid::dot(r, dir) * rho[g.linear(i0, i1, i2)];
-      }
-    plane[i2] = acc;
-  }
-  real_t acc = 0.0;
-  for (const real_t p : plane) acc += p;
+  // Per-plane partial sums added in plane order (ordered_sum, chunk 1).
+  const real_t acc = ordered_sum(
+      dims[2],
+      [&](size_t i2) {
+        real_t plane = 0.0;
+        for (size_t i1 = 0; i1 < dims[1]; ++i1)
+          for (size_t i0 = 0; i0 < dims[0]; ++i0) {
+            const grid::Vec3 r = g.rvec(i0, i1, i2) - center;
+            plane += grid::dot(r, dir) * rho[g.linear(i0, i1, i2)];
+          }
+        return plane;
+      },
+      1);
   return acc * g.dvol();
 }
 

@@ -94,28 +94,28 @@ void PtImPropagator::bind(const TdState& s) {
   h_ = owned_.get();
 }
 
-void PtImPropagator::configure_exchange_midpoint(const la::MatC& phih,
-                                                 const la::MatC& sigmah,
-                                                 la::MatC theta) {
-  if (!opt_.hybrid) {
-    h_->set_exchange_none();
+void PtImPropagator::set_midpoint(const la::MatC& phih,
+                                  const la::MatC& sigmah) {
+  if (opt_.hybrid && opt_.variant == PtImVariant::kDiag) {
+    // One eigen-rotation of (Phi_h, sigma_h) feeds both the density and the
+    // Diag exchange source.
+    std::vector<real_t> occ;
+    la::MatC rot = h_->eigen_rotate(phih, sigmah, &occ);
+    h_->set_density(h_->density(rot, occ));
+    h_->set_exchange_source_mixed_diag(std::move(rot), std::move(occ));
+    if (stats_) ++stats_->exchange_applications;
     return;
   }
-  switch (opt_.variant) {
-    case PtImVariant::kBaseline:
-      // Reuses the theta = Phi*sigma block the density pass circulated.
-      h_->set_exchange_source_mixed_naive(phih, sigmah, std::move(theta));
-      if (stats_) ++stats_->exchange_applications;
-      break;
-    case PtImVariant::kDiag:
-      h_->set_exchange_source_mixed_diag(phih, sigmah);
-      if (stats_) ++stats_->exchange_applications;
-      break;
-    case PtImVariant::kAce:
-      // ACE is installed by step_advance; nothing to refresh per inner
-      // iteration.
-      break;
+  const bool naive = opt_.variant == PtImVariant::kBaseline;
+  h_->set_density(h_->density(phih, sigmah, naive));
+  if (!opt_.hybrid) {
+    h_->set_exchange_none();
+  } else if (naive) {
+    h_->set_exchange_source_mixed_naive(phih, sigmah);
+    if (stats_) ++stats_->exchange_applications;
   }
+  // kAce: the ACE operator is installed by step_advance; nothing to refresh
+  // per inner iteration.
 }
 
 int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
@@ -127,7 +127,6 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
   const size_t nloc = phin.cols();
   const size_t nb = sigman.rows();
   const cplx idt{0.0, opt_.dt};
-  const bool naive = opt_.variant == PtImVariant::kBaseline;
 
   dist::DistAndersonMixer mixer(h_->comm(), npw * nloc, nb * nb,
                                 opt_.anderson_history, opt_.anderson_beta);
@@ -145,9 +144,7 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
 
     // Midpoint density and Hamiltonian (Eq. 5); rho is Allreduced, so every
     // rank's local Hamiltonian sees identical potentials.
-    la::MatC theta;
-    h_->set_density(h_->density(phih, sigmah, &theta, naive));
-    configure_exchange_midpoint(phih, sigmah, std::move(theta));
+    set_midpoint(phih, sigmah);
     h_->apply(phih, hphi);
 
     // Overlap S = Phi_h^H Phi_h and M = Phi_h^H H Phi_h (replicated), from
@@ -212,8 +209,7 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
 
 // Alg. 1 line 13: orthogonalize Phi, conjugate-symmetrize sigma. The
 // congruence sigma -> L^H sigma L keeps P = Phi sigma Phi^H invariant.
-void PtImPropagator::commit(TdState& s, la::MatC phi1, la::MatC sigma1,
-                            const PtImStepStats& stats) {
+void PtImPropagator::commit(TdState& s, la::MatC phi1, la::MatC sigma1) {
   const la::MatC sfinal = h_->overlap(phi1, phi1);
   const la::MatC l = la::cholesky(sfinal);
   phi1 = h_->solve_upper_right(l, phi1);  // Phi <- Phi L^{-H}
@@ -225,7 +221,6 @@ void PtImPropagator::commit(TdState& s, la::MatC phi1, la::MatC sigma1,
   s.phi = std::move(phi1);
   s.sigma = std::move(sigma1);
   s.time += opt_.dt;
-  if (hook_) hook_(s, stats);
 }
 
 void PtImPropagator::stage_ace_sources(StepSession& sess, const la::MatC& phi,
@@ -276,7 +271,7 @@ bool PtImPropagator::step_advance(const TdState& s, StepSession& sess,
 PtImStepStats PtImPropagator::step_finish(TdState& s, StepSession& sess) {
   sess.stats.residual = sess.residual;
   sess.stats.converged = sess.residual < opt_.tol;
-  commit(s, std::move(sess.phi1), std::move(sess.sigma1), sess.stats);
+  commit(s, std::move(sess.phi1), std::move(sess.sigma1));
   return sess.stats;
 }
 
@@ -308,7 +303,7 @@ PtImStepStats PtImPropagator::step(TdState& s) {
       fixed_point(s, phi1, sigma1, s.time + 0.5 * opt_.dt, &stats.residual);
   stats.converged = stats.residual < opt_.tol;
   stats_ = nullptr;
-  commit(s, std::move(phi1), std::move(sigma1), stats);
+  commit(s, std::move(phi1), std::move(sigma1));
   return stats;
 }
 

@@ -28,7 +28,6 @@
 //   kAce      — kDiag plus the ACE double loop (exact exchange applied only
 //               once per outer iteration; the paper's 25 -> 5 reduction).
 
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -109,15 +108,6 @@ class PtImPropagator {
   PtImStepStats step(TdState& s);
   const PtImOptions& options() const { return opt_; }
 
-  // Invoked once per completed step, AFTER the new state is committed
-  // (orthonormalized Phi, congruence-transformed sigma, advanced time) —
-  // for both the plain step() path and the staged protocol (step_finish
-  // fires it). The hook observes exactly the state a resume would restore
-  // (this rank's slice of it), so saving from it is bitwise-safe. The hook
-  // must not mutate the state.
-  using StepHook = std::function<void(const TdState&, const PtImStepStats&)>;
-  void set_step_hook(StepHook hook) { hook_ = std::move(hook); }
-
   // --- staged stepping (kAce + hybrid only) ------------------------------
   // The ACE double loop of step() split at its exchange applications so an
   // external driver can batch the expensive W = (alpha Vx) Phi evaluation
@@ -170,10 +160,10 @@ class PtImPropagator {
   int fixed_point(const TdState& start, la::MatC& phi1, la::MatC& sigma1,
                   real_t t_half, real_t* residual_out);
 
-  // Refresh the exchange source from the midpoint (Baseline / Diag; ACE is
-  // installed by step_advance). theta is the density pass's Phi*sigma block.
-  void configure_exchange_midpoint(const la::MatC& phih,
-                                   const la::MatC& sigmah, la::MatC theta);
+  // Midpoint density and Hamiltonian (Eq. 5): set the density and refresh
+  // the exchange source (Baseline / Diag; ACE is installed by
+  // step_advance). Diag's density and exchange share one eigen-rotation.
+  void set_midpoint(const la::MatC& phih, const la::MatC& sigmah);
 
   // Stage ACE build sources into the session: the eigen-rotation of
   // (phi, sigma) (the expensive exchange application on these sources is
@@ -182,9 +172,8 @@ class PtImPropagator {
                          la::MatC sigma);
 
   // Alg. 1 line 13: orthonormalize, congruence-transform sigma, advance
-  // time, fire the hook.
-  void commit(TdState& s, la::MatC phi1, la::MatC sigma1,
-              const PtImStepStats& stats);
+  // time.
+  void commit(TdState& s, la::MatC phi1, la::MatC sigma1);
 
   ham::Hamiltonian* local_;                       // this rank's Hamiltonian
   std::unique_ptr<ptmpi::SelfComm> self_;         // Hamiltonian ctor only
@@ -192,7 +181,6 @@ class PtImPropagator {
   dist::BandDistributedHamiltonian* h_ = nullptr;
   PtImOptions opt_;
   const LaserPulse* laser_;
-  StepHook hook_;                   // post-commit per-step callback
   PtImStepStats* stats_ = nullptr;  // active step statistics
 };
 

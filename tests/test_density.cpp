@@ -1,7 +1,8 @@
-// Density builders (the three equivalent paths), Hartree solver, LDA
-// functional values and Fermi-Dirac occupations.
+// Density builders (the diagonal kernel and the naive pair loop), Hartree
+// solver, LDA functional values and Fermi-Dirac occupations.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
 
@@ -20,6 +21,39 @@ struct Env {
   test::TinySystem sys = test::TinySystem::make(3.0);
   pw::SphereGridMap map{*sys.sphere, *sys.den_grid};
 };
+
+// A full complex occupation matrix sigma = U D U^H (random unitary U, so
+// every off-diagonal is populated) whose spectrum holds one exact zero.
+struct SingularSigma {
+  la::MatC u;              // eigenvectors
+  std::vector<real_t> d;   // eigenvalues, d[1] == 0
+  la::MatC sigma;
+};
+
+SingularSigma singular_sigma(size_t nb, unsigned seed) {
+  SingularSigma out;
+  out.u = la::eig_herm(test::random_hermitian(nb, seed)).V;
+  out.d.resize(nb);
+  for (size_t i = 0; i < nb; ++i)
+    out.d[i] = (i == 1) ? 0.0 : 0.1 + 0.8 * static_cast<real_t>(i) /
+                                          static_cast<real_t>(nb);
+  la::MatC ud = out.u;
+  for (size_t j = 0; j < nb; ++j)
+    for (size_t i = 0; i < nb; ++i) ud(i, j) *= out.d[j];
+  out.sigma.resize(nb, nb);
+  la::gemm('N', 'C', 1.0, ud, out.u, 0.0, out.sigma);
+  return out;
+}
+
+// Runs fn with an OpenMP team width of `threads`, restoring the old width.
+template <typename F>
+auto with_threads(int threads, F fn) {
+  const int old = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  auto r = fn();
+  omp_set_num_threads(old);
+  return r;
+}
 }  // namespace
 
 TEST(Density, DiagIntegratesToElectronCount) {
@@ -54,6 +88,56 @@ TEST(Density, SigmaPathsAgree) {
   const auto rho_diag = ham::density_diag(rotated, eig.w, e.map);
   for (size_t i = 0; i < rho_gemm.size(); ++i)
     EXPECT_NEAR(rho_gemm[i], rho_diag[i], 1e-10);
+}
+
+TEST(Density, KernelMatchesNaiveAcrossTileEdges) {
+  // nb in {1,3,4,5,9}: below, at and across the 4-band tiles.
+  Env e;
+  const size_t npw = e.sys.sphere->npw();
+  for (const size_t nb : {1, 3, 4, 5, 9}) {
+    const la::MatC phi = test::random_orbitals(npw, nb, 23);
+    const SingularSigma ss = singular_sigma(nb, 29 + static_cast<unsigned>(nb));
+    ASSERT_GT(std::abs(ss.sigma(0, nb - 1)), 0.0) << "nb=" << nb;
+
+    const auto rho_naive = ham::density_sigma_naive(phi, ss.sigma, e.map);
+    const auto rho_sigma = ham::density_sigma(phi, ss.sigma, e.map);
+    la::MatC rotated(npw, nb);
+    la::gemm_nn(phi, ss.u, rotated);
+    // The exact zero in d is a skipped column.
+    const auto rho_kernel = ham::density_diag(rotated, ss.d, e.map);
+    ASSERT_EQ(rho_sigma.size(), rho_naive.size());
+    for (size_t i = 0; i < rho_naive.size(); ++i) {
+      ASSERT_NEAR(rho_sigma[i], rho_naive[i], 1e-13) << "nb=" << nb;
+      ASSERT_NEAR(rho_kernel[i], rho_naive[i], 1e-13) << "nb=" << nb;
+    }
+  }
+}
+
+TEST(Density, KernelBitwiseAcrossTeamWidths) {
+  Env e;
+  const size_t npw = e.sys.sphere->npw();
+  const size_t nb = 9;
+  const la::MatC phi = test::random_orbitals(npw, nb, 41);
+  const SingularSigma ss = singular_sigma(nb, 43);
+  const auto run = [&] {
+    return ham::density_sigma(phi, ss.sigma, e.map);
+  };
+  const auto rho1 = with_threads(1, run);
+  const auto rho4 = with_threads(4, run);
+  EXPECT_EQ(rho1, rho4);
+  EXPECT_EQ(with_threads(4, run), rho4);  // and from call to call
+}
+
+TEST(Density, IntegrateBitwiseAcrossTeamWidths) {
+  Env e;
+  const size_t npw = e.sys.sphere->npw();
+  const la::MatC phi = test::random_orbitals(npw, 5, 47);
+  const auto rho =
+      ham::density_diag(phi, {1.0, 0.9, 0.5, 0.25, 0.1}, e.map);
+  const auto run = [&] { return ham::integrate(rho, *e.sys.den_grid); };
+  const real_t n1 = with_threads(1, run);
+  EXPECT_EQ(with_threads(4, run), n1);
+  EXPECT_EQ(with_threads(4, run), n1);
 }
 
 TEST(Density, SigmaTraceGivesElectronCount) {

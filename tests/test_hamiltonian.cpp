@@ -2,14 +2,18 @@
 // kinetic term, energy assembly, and the ground-state SCF/Davidson stack.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
 
 #include "gs/davidson.hpp"
 #include "gs/scf.hpp"
 #include "ham/density.hpp"
+#include "ham/hartree.hpp"
+#include "ham/xc_lda.hpp"
 #include "la/blas.hpp"
 #include "la/util.hpp"
+#include "pseudo/ewald.hpp"
 #include "test_helpers.hpp"
 
 using namespace ptim;
@@ -205,4 +209,36 @@ TEST(EnergyTerms, TotalIsSum) {
   e.nonlocal = 0.05;
   e.ewald = -3.0;
   EXPECT_NEAR(e.total(), 1.0 - 2.0 + 0.5 - 0.7 - 0.1 + 0.05 - 3.0, 1e-14);
+}
+
+TEST(EnergyTerms, BitwiseAcrossCallsAndTeamWidths) {
+  // Every energy reduction adds fixed-order partials, so one input gives the
+  // same bits from call to call and at any OpenMP team width.
+  auto sys = make_sys(true);
+  const size_t nb = 4;
+  const la::MatC phi = test::random_orbitals(sys.sphere->npw(), nb, 111);
+  const la::MatC sigma = test::random_occupation_matrix(nb, 112);
+  const auto rho = ham::density_sigma(phi, sigma, sys.ham->den_map());
+  const grid::FftGrid& g = *sys.den_grid;
+  const auto terms = [&](int threads) {
+    const int old = omp_get_max_threads();
+    omp_set_num_threads(threads);
+    sys.ham->set_density(rho);
+    sys.ham->set_exchange_mode(ham::ExchangeMode::kExactDiag);
+    sys.ham->set_exchange_source_mixed(phi, sigma);
+    const ham::EnergyTerms e = sys.ham->energy(phi, sigma, rho);
+    std::vector<real_t> vxc;
+    const std::vector<real_t> v{
+        e.kinetic, e.local, e.hartree, e.xc, e.fock, e.nonlocal,
+        ham::hartree_potential(rho, g).energy,
+        ham::lda_pz81_eval(rho, g.dvol(), vxc),
+        pseudo::ewald_energy(sys.atoms, *sys.lattice),
+        ham::integrate(rho, g)};
+    omp_set_num_threads(old);
+    return v;
+  };
+  const auto ref = terms(1);
+  EXPECT_EQ(terms(1), ref);
+  EXPECT_EQ(terms(4), ref);
+  EXPECT_EQ(terms(4), ref);
 }

@@ -264,3 +264,48 @@ TEST(PtImDist, SingleRankIsExactlySerialShape) {
       sys, nb, td::PtImVariant::kDiag, dist::ExchangePattern::kRing, 1);
   expect_trajectories_match(sys, ser, dst, "p=1");
 }
+
+// ------------------------------------------------------ midpoint density ---
+
+TEST(PtImDist, DensityMatchesSerialAtUnevenBandSplits) {
+  // 7 bands on 2 and 3 ranks: uneven slices, eigen-rotation through the
+  // band circulation, then the grid Allreduce.
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const size_t nb = 7;
+  const td::TdState init = initial_state(sys.sphere->npw(), nb);
+  const auto ref = ham::density_sigma(init.phi, init.sigma, sys.ham->den_map());
+  for (const int p : {2, 3}) {
+    const dist::BlockLayout bands(nb, p);
+    std::vector<std::vector<real_t>> rho(static_cast<size_t>(p));
+    ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
+      ham::Hamiltonian h(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid,
+                         *sys.den_grid, ham::HamiltonianOptions{});
+      dist::BandDistributedHamiltonian bdh(c, h, nb);
+      rho[static_cast<size_t>(c.rank())] = bdh.density(
+          dist::scatter_bands(init.phi, bands, c.rank()), init.sigma);
+    });
+    for (int r = 0; r < p; ++r) {
+      const auto& rr = rho[static_cast<size_t>(r)];
+      EXPECT_EQ(rr, rho[0]) << "p=" << p << " rank " << r;
+      ASSERT_EQ(rr.size(), ref.size());
+      for (size_t i = 0; i < ref.size(); ++i)
+        ASSERT_NEAR(rr[i], ref[i], 1e-12) << "p=" << p << " rank " << r;
+    }
+  }
+}
+
+TEST(PtImDist, OneRankDensityIsBitwiseDensitySigma) {
+  // The one-rank layer (the serial propagator's) and ham::density_sigma run
+  // the same kernel on the same rotation, bit for bit; so does the
+  // overload that takes the rotation.
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const size_t nb = 6;
+  const td::TdState s = initial_state(sys.sphere->npw(), nb);
+  ptmpi::SelfComm self;
+  dist::BandDistributedHamiltonian bdh(self.comm(), *sys.ham, nb);
+  const auto ref = ham::density_sigma(s.phi, s.sigma, sys.ham->den_map());
+  EXPECT_EQ(bdh.density(s.phi, s.sigma), ref);
+  std::vector<real_t> occ;
+  const la::MatC rot = bdh.eigen_rotate(s.phi, s.sigma, &occ);
+  EXPECT_EQ(bdh.density(rot, occ), ref);
+}

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
 
 #include "gs/scf.hpp"
 #include "ham/density.hpp"
@@ -26,20 +27,22 @@ struct SharedGs {
   gs::ScfResult ground;
 };
 
-// One ground state per temperature, shared across all sweep cases.
+// One ground state per temperature, shared across all sweep cases; the
+// cache owns its entries.
 SharedGs& gs_for(real_t temperature_k) {
-  static std::map<long, SharedGs*> cache;
+  static std::map<long, std::unique_ptr<SharedGs>> cache;
   const long key = std::lround(temperature_k);
   auto it = cache.find(key);
   if (it == cache.end()) {
-    auto* e = new SharedGs{test::TinySystem::make(3.0), {}};
+    // Built in place: the Hamiltonian keeps references into its system.
+    std::unique_ptr<SharedGs> e(new SharedGs{test::TinySystem::make(3.0), {}});
     gs::ScfOptions opt;
     opt.nbands = 6;
     opt.nelec = 8.0;
     opt.temperature_k = temperature_k;
     opt.tol_rho = 1e-7;
     e->ground = gs::ground_state(*e->sys.ham, opt);
-    it = cache.emplace(key, e).first;
+    it = cache.emplace(key, std::move(e)).first;
   }
   return *it->second;
 }
