@@ -180,102 +180,6 @@ void precision_sweep(MiniSystem& sys) {
   }
 }
 
-// ISDF rank sweep: the same 10-step PT-IM-ACE trajectory with the
-// low-rank exchange at rank factors c in {4, 6, 8, 12} vs the dense
-// operator. As in the precision sweep, observables of every run are
-// measured with the DENSE FP64 operator so the columns isolate trajectory
-// drift; wall time and FFT counts are the in-mode hot-path numbers.
-// Results land in BENCH_isdf_accuracy.json for the accuracy trajectory.
-void isdf_rank_sweep(MiniSystem& sys) {
-  const int steps = 10;
-  const real_t dt = 1.0;
-
-  struct Run {
-    real_t c = 0.0;  // 0 = dense reference
-    double seconds = 0.0;
-    long ffts = 0;
-    std::vector<real_t> dipole, energy;
-  };
-  std::vector<Run> runs;
-  for (const real_t c : {0.0, 4.0, 6.0, 8.0, 12.0}) {
-    Run run;
-    run.c = c;
-    if (c > 0.0) {
-      sys.ham->set_exchange_compression(ham::ExchangeCompression::kIsdf);
-      sys.ham->set_isdf_rank_factor(c);
-    } else {
-      sys.ham->set_exchange_compression(ham::ExchangeCompression::kDense);
-    }
-    td::TdState s = sys.initial();
-    td::PtImOptions opt;
-    opt.dt = dt;
-    opt.variant = td::PtImVariant::kAce;
-    opt.tol = 1e-6;
-    opt.tol_fock = 1e-6;
-    td::PtImPropagator prop(*sys.ham, opt, nullptr);
-    for (int i = 0; i < steps; ++i) {
-      const long f0 = sys.ham->exchange_op().fft_count;
-      Timer t;
-      prop.step(s);
-      run.seconds += t.seconds();
-      run.ffts += sys.ham->exchange_op().fft_count - f0;
-      // Observables through the dense operator, so every column is
-      // measured with the same ruler.
-      sys.ham->set_exchange_compression(ham::ExchangeCompression::kDense);
-      run.dipole.push_back(sys.dipole_x(s));
-      run.energy.push_back(sys.energy(s));
-      if (c > 0.0)
-        sys.ham->set_exchange_compression(ham::ExchangeCompression::kIsdf);
-    }
-    runs.push_back(std::move(run));
-  }
-  sys.ham->set_exchange_compression(ham::ExchangeCompression::kDense);
-
-  std::printf("\n-- ISDF rank sweep: 10-step PT-IM-ACE, low-rank exchange "
-              "per rank factor --\n");
-  std::printf("%10s %12s %8s %14s %16s\n", "c (Nmu/nb)", "seconds", "FFTs",
-              "max |dE| Ha", "dipole drift");
-  const Run& ref = runs[0];
-  struct Row {
-    real_t c;
-    double seconds;
-    long ffts;
-    double max_de, dip_drift;
-  };
-  std::vector<Row> rows;
-  for (const Run& r : runs) {
-    double max_de = 0.0, drift = 0.0;
-    for (size_t i = 0; i < r.energy.size(); ++i)
-      max_de = std::max(max_de, std::abs(r.energy[i] - ref.energy[i]));
-    for (size_t i = 0; i < r.dipole.size(); ++i)
-      drift = std::max(drift, std::abs(r.dipole[i] - ref.dipole[i]));
-    rows.push_back({r.c, r.seconds, r.ffts, max_de, drift});
-    if (r.c > 0.0)
-      std::printf("%10.1f %12.4f %8ld %14.3e %16.3e\n", r.c, r.seconds,
-                  r.ffts, max_de, drift);
-    else
-      std::printf("%10s %12.4f %8ld %14s %16s\n", "dense", r.seconds, r.ffts,
-                  "-", "-");
-  }
-  std::printf("(observables measured with the dense FP64 operator; the fit "
-              "is rebuilt on every ACE outer iteration)\n");
-
-  const char* path = "BENCH_isdf_accuracy.json";
-  if (std::FILE* f = std::fopen(path, "w")) {
-    std::fprintf(f, "{\n  \"isdf_accuracy\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i)
-      std::fprintf(f,
-                   "    {\"rank_factor\": %.1f, \"seconds\": %.6e, "
-                   "\"ffts\": %ld, \"max_abs_denergy\": %.3e, "
-                   "\"dipole_drift\": %.3e}%s\n",
-                   rows[i].c, rows[i].seconds, rows[i].ffts, rows[i].max_de,
-                   rows[i].dip_drift, i + 1 < rows.size() ? "," : "");
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("(per-rank-factor rows written to %s)\n", path);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -291,7 +195,6 @@ int main() {
     MiniSystem mixed = MiniSystem::make(/*T=*/8000.0);
     compare("mixed states (T = 8000 K, fractional occupations)", mixed);
     precision_sweep(mixed);
-    isdf_rank_sweep(mixed);
   }
   return 0;
 }

@@ -4,9 +4,9 @@
 // density builders. The google-benchmark section is optional
 // (PTIM_HAVE_BENCHMARK; CI images lack the library): the plain-chrono
 // comparisons below always build — per-pair vs batched exchange, FP64 vs
-// FP32, dense vs ISDF, the per-SIMD-ISA c2c vs Γ-point r2c engine
-// head-to-head and the complex vs gamma_real exchange pipeline — and the
-// latter two record FFT-count-gated rows to BENCH_kernels.json.
+// FP32, the per-SIMD-ISA c2c vs Γ-point r2c engine head-to-head and the
+// complex vs gamma_real exchange pipeline — and the latter two record
+// FFT-count-gated rows to BENCH_kernels.json.
 
 #ifdef PTIM_HAVE_BENCHMARK
 #include <benchmark/benchmark.h>
@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -371,118 +370,6 @@ void exchange_precision_comparison() {
                 r.max_abs_diff);
 }
 
-// Low-rank head-to-head: dense O(nb^2) pair-FFT exchange vs the ISDF
-// compressed apply (fit rebuilt per apply, as in production) on the PT-IM
-// shape (targets = the full band block). The acceptance bar is >= 2x fewer
-// FFTs and a wall-clock win at nb >= 16; per-config rows are recorded to
-// bench_exchange_isdf.json for the perf trajectory.
-void exchange_isdf_comparison() {
-  // Production-like grid (2744 points, radix-7 dims): large enough that
-  // the dense path's 2 na nb pair FFTs dominate, the regime ISDF targets.
-  grid::Lattice lattice = grid::Lattice::cubic(8.0);
-  grid::GSphere sphere(lattice, 14.0);
-  grid::FftGrid wfc(lattice, sphere.suggest_dims(1));
-  pw::SphereGridMap map{sphere, wfc};
-  const size_t npw = sphere.npw();
-
-  struct Row {
-    size_t nb;
-    const char* mode;
-    double rank_factor;
-    double seconds;
-    long ffts;
-    double rel_err;
-  };
-  std::vector<Row> rows;
-  const int reps = 25;
-  for (const size_t nb : {size_t(16), size_t(32)}) {
-    la::MatC src = random_mat(npw, nb, 13 + static_cast<unsigned>(nb));
-    pw::orthonormalize_lowdin(src);
-    const std::vector<real_t> d(nb, 0.5);
-    la::MatC ref;
-    double ref_norm = 1.0;
-    struct Cfg {
-      const char* mode;
-      ham::ExchangeCompression comp;
-      double c;
-    };
-    const std::vector<Cfg> cfgs = {
-        Cfg{"dense", ham::ExchangeCompression::kDense, 0.0},
-        Cfg{"isdf", ham::ExchangeCompression::kIsdf, 4.0},
-        Cfg{"isdf", ham::ExchangeCompression::kIsdf, 8.0}};
-    std::vector<std::unique_ptr<ham::ExchangeOperator>> xops;
-    std::vector<double> secs(cfgs.size(), 1e300);
-    la::MatC out(npw, nb);
-    for (const Cfg& cfg : cfgs) {
-      ham::ExchangeOptions opt;
-      opt.compression = cfg.comp;
-      if (cfg.c > 0.0) opt.isdf_rank_factor = cfg.c;
-      xops.push_back(std::make_unique<ham::ExchangeOperator>(map, opt));
-      xops.back()->apply_diag(src, d, src, out);  // warm-up
-    }
-    // Min over reps, interleaved round-robin across configs: shared-machine
-    // timing drift is slower than one rep, so a contiguous per-config block
-    // would bias whichever config lands on a slow phase. Interleaving gives
-    // every config the same shot at the quiet windows the min picks out.
-    for (int r = 0; r < reps; ++r)
-      for (size_t ci = 0; ci < cfgs.size(); ++ci) {
-        const auto t0 = std::chrono::steady_clock::now();
-        xops[ci]->apply_diag(src, d, src, out);
-        const auto t1 = std::chrono::steady_clock::now();
-        secs[ci] =
-            std::min(secs[ci], std::chrono::duration<double>(t1 - t0).count());
-      }
-    for (size_t ci = 0; ci < cfgs.size(); ++ci) {
-      ham::ExchangeOperator& xop = *xops[ci];
-      xop.fft_count = 0;
-      xop.apply_diag(src, d, src, out);
-      double rel = 0.0;
-      if (cfgs[ci].comp == ham::ExchangeCompression::kDense) {
-        ref = out;
-        ref_norm = std::max(la::frob_norm(ref), 1.0);
-      } else {
-        rel = la::frob_diff(out, ref) / ref_norm;
-      }
-      rows.push_back(
-          {nb, cfgs[ci].mode, cfgs[ci].c, secs[ci], xop.fft_count.load(), rel});
-    }
-  }
-
-  std::printf("\nExchange apply: dense pair FFTs vs ISDF low-rank "
-              "(targets = band block, fit per apply,\n ng=%zu grid; rel err "
-              "is the incompressible-random-orbital regime, see README)\n",
-              wfc.size());
-  std::printf("%6s %8s %6s %12s %10s %10s %14s\n", "bands", "mode", "c",
-              "seconds", "FFTs", "speedup", "rel|d| vs dense");
-  double dense_sec = 0.0;
-  for (const auto& r : rows) {
-    if (r.rank_factor == 0.0) dense_sec = r.seconds;
-    std::printf("%6zu %8s %6.1f %12.5f %10ld %9.2fx %14.2e\n", r.nb, r.mode,
-                r.rank_factor, r.seconds, r.ffts, dense_sec / r.seconds,
-                r.rel_err);
-  }
-
-  const char* path = "bench_exchange_isdf.json";
-  if (std::FILE* f = std::fopen(path, "w")) {
-    std::fprintf(f, "{\n  \"exchange_isdf\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i)
-      std::fprintf(f,
-                   "    {\"bands\": %zu, \"mode\": \"%s\", "
-                   "\"rank_factor\": %.1f, \"seconds\": %.6e, "
-                   "\"ffts\": %ld, \"rel_err\": %.3e}%s\n",
-                   rows[i].nb, rows[i].mode, rows[i].rank_factor,
-                   rows[i].seconds, rows[i].ffts, rows[i].rel_err,
-                   i + 1 < rows.size() ? "," : "");
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("(per-config timings written to %s)\n", path);
-  }
-}
-
-// --- Γ-point / SIMD engine comparisons ------------------------------------
-// Both write FFT-count-gated rows to BENCH_kernels.json (wall-clock columns
-// ride along for the local trajectory but are never gated).
-
 struct KernelRow {
   std::string name, isa, variant;
   size_t fields;
@@ -646,7 +533,6 @@ int main(int argc, char** argv) {
 #endif
   exchange_batch_comparison();
   exchange_precision_comparison();
-  exchange_isdf_comparison();
   fft_engine_comparison();
   exchange_gamma_comparison();
   write_kernels_json();

@@ -71,7 +71,7 @@ TIMING_PREFIXES = ("speedup",)
 TIMING_SUFFIXES = ("seconds",)
 
 # StepReport JSONL rows: identity, and the only metrics stable enough to
-# gate. seconds/comm_seconds/isdf_fit_seconds are wall-clock; alloc_delta
+# gate. seconds/comm_seconds are wall-clock; alloc_delta
 # reads a process-global counter shared by concurrently stepping ranks;
 # residual is converged-to-tolerance float noise.
 METRICS_IDENTITY = ("job_id", "rank", "step")

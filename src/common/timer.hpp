@@ -10,7 +10,7 @@
 // facade over obs interned-id accumulation (obs::profile_*): the
 // per-call map lookup the old implementation paid in every ScopedTimer
 // destructor is now a one-time intern per call site plus a vector-slot
-// add. Existing string tags ("isdf.fit", ...) keep working unchanged,
+// add. Existing string tags ("exchange.diag", ...) keep working unchanged,
 // and every ScopedTimer section doubles as an obs trace span when
 // tracing is enabled, so timed sections appear in exported timelines.
 

@@ -104,8 +104,6 @@ obs::StepCounters job_counters(const ham::Hamiltonian& h, ptmpi::Comm& c) {
   obs::StepCounters sc;
   sc.ffts = h.exchange_op().fft_count.load(std::memory_order_relaxed);
   sc.alloc_count = backend::buffer_alloc_count();
-  sc.isdf_fit_seconds = obs::profile_get(obs::intern("isdf.fit")).seconds +
-                        obs::profile_get(obs::intern("isdf.fit_dist")).seconds;
   sc.comm = c.stats().snapshot();
   return sc;
 }

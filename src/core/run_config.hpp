@@ -51,14 +51,6 @@ struct RunConfig {
   std::optional<Precision> precision;
   std::optional<backend::Kind> backend;
   std::optional<size_t> exchange_batch;  // batched-FFT block width
-  // Low-rank (ISDF) compression of the exchange apply and its rank factor
-  // (ham/isdf). Deliberately HASH-NEUTRAL (unlike precision): the fit is
-  // derived state, rebuilt from the checkpointed wavefunctions at every
-  // apply, so a checkpoint carries no ISDF state and a resume may tighten,
-  // relax or drop the compression without invalidating earlier snapshots
-  // (the accuracy-continuation workflow the rank sweep supports).
-  std::optional<ham::ExchangeCompression> compression;
-  std::optional<real_t> isdf_rank_factor;
 
   // --- process layout (distributed runs) --------------------------------
   int nranks = 1;  // 1 = serial propagation
@@ -113,8 +105,6 @@ struct RunConfig {
     o.hybrid = hybrid;
     o.exchange_precision = precision;
     o.exchange_backend = backend;
-    o.exchange_compression = compression;
-    o.isdf_rank_factor = isdf_rank_factor;
     o.evolve_sigma = evolve_sigma;
     return o;
   }

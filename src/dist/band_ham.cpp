@@ -39,16 +39,9 @@ la::MatC BandDistributedHamiltonian::exchange_diag(
     const la::MatC& src_local, const std::vector<real_t>& d_local,
     const la::MatC& tgt_local) {
   ScopedTimer t("exchange.diag");
-  if (gridctx_) {
-    PTIM_CHECK_MSG(
-        h_->exchange_op().options().compression !=
-            ham::ExchangeCompression::kIsdf,
-        "ISDF exchange compression requires a pure band-parallel layout "
-        "(process_grid.pg == 1); the slab-distributed grid path (pg > 1) "
-        "does not support kIsdf yet");
+  if (gridctx_)
     return exchange_apply_slab_local(*gridctx_, h_->exchange_op(), src_local,
                                      d_local, tgt_local, bands_, opt_.pattern);
-  }
   return exchange_apply_distributed_local(*c_, h_->exchange_op(), src_local,
                                           d_local, tgt_local, bands_,
                                           opt_.pattern);

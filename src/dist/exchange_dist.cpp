@@ -4,7 +4,6 @@
 
 #include "backend/executor.hpp"
 #include "dist/circulate.hpp"
-#include "dist/isdf_dist.hpp"
 
 namespace ptim::dist {
 
@@ -184,12 +183,6 @@ la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
     counts[static_cast<size_t>(r)] = src_bands.count(r);
   std::vector<real_t> d(src_bands.total());
   c.allgatherv(d_local.data(), d_local.size(), d.data(), counts);
-
-  // ISDF replaces the slab circulation wholesale: band-parallel fit from
-  // Allreduced Gram partials, then a local GEMM apply (dist/isdf_dist).
-  if (xop.options().compression == ham::ExchangeCompression::kIsdf)
-    return exchange_apply_isdf_local(c, xop, src_local, d, tgt_local,
-                                     src_bands);
 
   if (xop.gamma_real()) {
     // Γ-point fast path: if every rank's sources and targets are real,

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "obs/obs.hpp"
-#include "ham/isdf.hpp"
 #include "la/blas.hpp"
 #include "la/eig.hpp"
 
@@ -55,14 +54,9 @@ bool ExchangeOperator::field_is_real(const cplxf* v, size_t n) {
 ExchangeOperator::ExchangeOperator(const pw::SphereGridMap& wfc_map,
                                    ExchangeOptions opt)
     : map_(&wfc_map), opt_(opt) {
-  // Validate the shape-determining knobs here rather than deep inside an
-  // apply: a zero batch width or non-positive ISDF rank would otherwise
-  // surface as an opaque failure in the hot path.
+  // Validate the batch width here rather than deep inside an apply: a zero
+  // width would otherwise surface as an opaque failure in the hot path.
   check_batch_size(opt.batch_size);
-  if (!(opt.isdf_rank_factor > 0.0))
-    throw Error(
-        "ExchangeOptions::isdf_rank_factor must be positive (Nmu = "
-        "ceil(c * nb) interpolation points; typical c in [4, 12])");
   const auto& g = wfc_map.grid();
   kernel_.resize(g.size());
   const real_t mu2 = opt.mu * opt.mu;
@@ -653,27 +647,12 @@ void ExchangeOperator::set_batch_size(size_t bs) {
   opt_.batch_size = bs;
 }
 
-void ExchangeOperator::set_isdf_rank_factor(real_t c) {
-  if (!(c > 0.0))
-    throw Error("ExchangeOperator::set_isdf_rank_factor: factor must be "
-                "positive (typical c in [4, 12])");
-  opt_.isdf_rank_factor = c;
-}
-
 void ExchangeOperator::apply_diag(const la::MatC& src,
                                   const std::vector<real_t>& d,
                                   const la::MatC& tgt, la::MatC& out,
                                   bool accumulate) const {
   ScopedTimer t("exchange.diag");
   PTIM_CHECK(d.size() == src.cols());
-  if (opt_.compression == ExchangeCompression::kIsdf) {
-    // Low-rank route: fit + GEMM apply (ham/isdf), handling the precision
-    // edge itself. The realspace/ring primitives below stay dense — the
-    // distributed ISDF path replaces the circulation wholesale
-    // (dist/isdf_dist) instead of intercepting partial-source calls.
-    isdf::apply_diag(*this, src, d, tgt, out, accumulate);
-    return;
-  }
   if (opt_.precision != Precision::kDouble) {
     // Sources go straight to FP32 real space (down-convert at the edge).
     la::MatCf src_real;
@@ -798,15 +777,6 @@ void ExchangeOperator::apply_diag_packed(const std::vector<DiagApplyJob>& jobs,
     if (!accumulate) job.out->fill(cplx(0.0));
   }
   if (jobs.empty()) return;
-  if (opt_.compression == ExchangeCompression::kIsdf) {
-    // Each job gets its own fit (sources differ per trajectory), so there
-    // is no shared FFT batch to pack; the per-job result is identical to a
-    // standalone apply_diag by construction.
-    for (const DiagApplyJob& job : jobs)
-      isdf::apply_diag(*this, *job.src, *job.d, *job.tgt, *job.out,
-                       /*accumulate=*/true);
-    return;
-  }
   if (opt_.precision != Precision::kDouble)
     run_packed<cplxf>(*this, jobs);
   else

@@ -36,13 +36,6 @@
 
 namespace ptim::ham {
 
-// Compression of the diag-exchange apply: kDense runs the O(nb^2)
-// pair-FFT pipeline; kIsdf factors the pair densities through Nmu =
-// isdf_rank_factor * nb interpolation points (ham/isdf) so an apply is
-// dense GEMMs plus 2 Nmu fit FFTs — O(nb * Nmu) instead of O(nb^2)
-// transforms. The dense path is bitwise-unaffected by the knob existing.
-enum class ExchangeCompression { kDense, kIsdf };
-
 struct ExchangeOptions {
   real_t alpha = 0.25;  // hybrid mixing fraction (HSE06)
   real_t mu = 0.106;    // screening parameter, bohr^-1 (HSE06: 0.2 A^-1)
@@ -59,15 +52,6 @@ struct ExchangeOptions {
   // reference) or kHostAsync (the slab transfer overlaps the previous
   // slab's compute). Bit-identical in both.
   backend::Kind backend = backend::default_kind();
-  // Low-rank compression of the diag apply (see enum above). The ISDF fit
-  // is rebuilt from the sources at every apply — refreshed on each PT-IM /
-  // ACE outer iteration, with no persistent state (checkpoints stay
-  // compression-agnostic).
-  ExchangeCompression compression = ExchangeCompression::kDense;
-  // ISDF rank factor c: Nmu = min(Ng, ceil(c * max(nb_active, ntgt))).
-  // c = 8 lands the apply within ~1e-6 relative of kDense on the systems
-  // the golden suite pins; see the bench_fig7_accuracy rank sweep.
-  real_t isdf_rank_factor = 8.0;
   // Γ-point real-wavefunction fast path. At the Γ point orbitals can be
   // chosen real, so every pair density conj(phi_i) psi_j is a REAL field
   // and two of them ride one complex FFT lane (z = rho_a + i rho_b). The
@@ -110,15 +94,6 @@ class ExchangeOperator {
   // is a pure throughput knob. A width of 0 throws (as in the constructor).
   void set_batch_size(size_t bs);
   size_t batch_size() const { return opt_.batch_size; }
-
-  // Low-rank compression of the diag apply (ham/isdf). Unlike the
-  // throughput knobs above this changes the NUMBERS (within the rank
-  // sweep's accuracy envelope), but carries no state: the fit is derived
-  // from the sources at every apply.
-  void set_compression(ExchangeCompression c) { opt_.compression = c; }
-  ExchangeCompression compression() const { return opt_.compression; }
-  void set_isdf_rank_factor(real_t c);
-  real_t isdf_rank_factor() const { return opt_.isdf_rank_factor; }
 
   // Γ-point real-pair fast path (see ExchangeOptions::gamma_real). Safe to
   // toggle at any time: applies whose fields are not actually real fall

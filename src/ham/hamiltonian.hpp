@@ -81,17 +81,6 @@ class Hamiltonian {
   // throughput knob; bit-identical across widths).
   void set_exchange_batch(size_t bs) { xop_.set_batch_size(bs); }
   size_t exchange_batch() const { return xop_.batch_size(); }
-  // Low-rank (ISDF) compression of the diag-exchange apply and its rank
-  // factor; see ham/isdf. The fit is rebuilt at every apply, so toggling
-  // the knobs never leaves stale operator state behind.
-  void set_exchange_compression(ExchangeCompression c) {
-    xop_.set_compression(c);
-  }
-  ExchangeCompression exchange_compression() const {
-    return xop_.compression();
-  }
-  void set_isdf_rank_factor(real_t c) { xop_.set_isdf_rank_factor(c); }
-  real_t isdf_rank_factor() const { return xop_.isdf_rank_factor(); }
   // Γ-point real-wavefunction fast path of the exchange pair pipeline
   // (detection-gated; complex orbitals fall back bitwise — see
   // ham/exchange.hpp).

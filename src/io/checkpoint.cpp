@@ -48,6 +48,16 @@ struct Reader {
     bytes(&v, sizeof(T));
     return v;
   }
+  // Bytes between the read position and the end of the file.
+  uint64_t remaining() {
+    const long here = std::ftell(f);
+    PTIM_CHECK_MSG(here >= 0 && std::fseek(f, 0, SEEK_END) == 0,
+                   "checkpoint not seekable: " << *path);
+    const long end = std::ftell(f);
+    PTIM_CHECK_MSG(end >= here && std::fseek(f, here, SEEK_SET) == 0,
+                   "checkpoint not seekable: " << *path);
+    return static_cast<uint64_t>(end - here);
+  }
 };
 
 // RAII close for the error/unwind paths only. The SUCCESS path must close
@@ -168,12 +178,21 @@ Checkpoint load_checkpoint(const std::string& path,
   for (int d = 0; d < 3; ++d) c.avec[d] = r.pod<double>();
   const auto npw = r.pod<uint64_t>();
   const auto nb = r.pod<uint64_t>();
-  // Sanity-bound the dimensions before allocating: a corrupted size field
-  // must fail as a descriptive error, not a bad_alloc (or worse).
+  // Bound the dimensions by the file before allocating: a corrupted size
+  // field must fail as a descriptive error, not a bad_alloc (or worse).
+  // The first bound keeps (npw + nb) * nb * 16 below 2^57, so the payload
+  // byte count cannot overflow.
   PTIM_CHECK_MSG(npw > 0 && nb > 0 && npw < (1ull << 32) && nb < (1ull << 20),
                  "checkpoint dimensions implausible (npw=" << npw << ", nb="
                                                            << nb
                                                            << "): " << path);
+  const uint64_t payload = (npw + nb) * nb * sizeof(cplx);
+  const uint64_t left = r.remaining();
+  PTIM_CHECK_MSG(payload <= left,
+                 "checkpoint truncated or header corrupt (npw="
+                     << npw << ", nb=" << nb << " need " << payload
+                     << " payload bytes, the file has " << left
+                     << "): " << path);
   c.state.phi.resize(npw, nb);
   c.state.sigma.resize(nb, nb);
   r.bytes(c.state.phi.data(), npw * nb * sizeof(cplx));

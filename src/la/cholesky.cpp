@@ -37,7 +37,7 @@ void solve_lower(const MatC& L, MatC& B) {
   // identical, but the L accesses walk contiguous columns. RHS columns are
   // tiled so each L column is read once per tile from L1 instead of once
   // per RHS column from L2/DRAM — the solve is bandwidth-bound when the
-  // RHS is wide (the ISDF fit solves against every grid point).
+  // RHS is wide.
   const size_t ncols = B.cols();
   constexpr size_t tile = 24;
 #pragma omp parallel for schedule(static)

@@ -70,8 +70,6 @@ std::string to_jsonl(const StepReport& r) {
      << ",\"alltoallv_bytes\":" << r.alltoallv_bytes
      << ",\"allreduce_bytes\":" << r.allreduce_bytes << ",\"comm_seconds\":";
   put_double(os, r.comm_seconds);
-  os << ",\"isdf_fit_seconds\":";
-  put_double(os, r.isdf_fit_seconds);
   os << ",\"alloc_delta\":" << r.alloc_delta << "}";
   return os.str();
 }
@@ -97,7 +95,6 @@ bool from_jsonl(const std::string& line, StepReport* out) {
     else if (key == "allreduce_bytes")
       r.allreduce_bytes = static_cast<long long>(v);
     else if (key == "comm_seconds") r.comm_seconds = v;
-    else if (key == "isdf_fit_seconds") r.isdf_fit_seconds = v;
     else if (key == "alloc_delta") r.alloc_delta = static_cast<long>(v);
     // Unknown keys ignored: newer writers stay readable.
   });
@@ -127,7 +124,6 @@ StepReport StepSampler::end(const StepCounters& now) const {
   r.seconds = static_cast<double>(now_ns() - t0_ns_) * 1e-9;
   r.ffts = now.ffts - base_.ffts;
   r.alloc_delta = now.alloc_count - base_.alloc_count;
-  r.isdf_fit_seconds = now.isdf_fit_seconds - base_.isdf_fit_seconds;
   r.ring_bytes = ops_bytes(now.comm, {"Sendrecv", "Wait", "Bcast"}) -
                  ops_bytes(base_.comm, {"Sendrecv", "Wait", "Bcast"});
   r.alltoallv_bytes =

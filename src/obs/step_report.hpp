@@ -48,7 +48,6 @@ struct StepReport {
   long long alltoallv_bytes = 0; // pencil transposes
   long long allreduce_bytes = 0;
   double comm_seconds = 0.0;     // wall seconds inside all comm ops
-  double isdf_fit_seconds = 0.0; // isdf.fit / isdf.fit_dist profile delta
   long alloc_delta = 0;          // backend buffer allocations
 };
 
@@ -62,7 +61,6 @@ bool from_jsonl(const std::string& line, StepReport* out);
 struct StepCounters {
   long ffts = 0;
   long alloc_count = 0;
-  double isdf_fit_seconds = 0.0;
   ptmpi::CommStats comm;  // a quiesced CommStats::snapshot()
 };
 

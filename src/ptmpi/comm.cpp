@@ -365,7 +365,7 @@ void Comm::bcast(void* data, size_t bytes, int root) {
   if (rank_ != root && bytes > 0)
     std::memcpy(data, group_->staged[static_cast<size_t>(root)], bytes);
   group_->barrier();
-  stats().add("Bcast", static_cast<long long>(bytes), t.seconds());
+  record_collective("Bcast", bytes, t.seconds());
 }
 
 namespace {
@@ -395,29 +395,25 @@ void allreduce_impl(Group* g, int rank, T* data, size_t n) {
 void Comm::allreduce_sum(cplx* data, size_t n) {
   Timer t;
   allreduce_impl(group_.get(), rank_, data, n);
-  stats().add("Allreduce", static_cast<long long>(n * sizeof(cplx)),
-              t.seconds());
+  record_collective("Allreduce", n * sizeof(cplx), t.seconds());
 }
 
 void Comm::allreduce_sum(real_t* data, size_t n) {
   Timer t;
   allreduce_impl(group_.get(), rank_, data, n);
-  stats().add("Allreduce", static_cast<long long>(n * sizeof(real_t)),
-              t.seconds());
+  record_collective("Allreduce", n * sizeof(real_t), t.seconds());
 }
 
 void Comm::allreduce_sum(cplxf* data, size_t n) {
   Timer t;
   allreduce_impl(group_.get(), rank_, data, n);
-  stats().add("Allreduce", static_cast<long long>(n * sizeof(cplxf)),
-              t.seconds());
+  record_collective("Allreduce", n * sizeof(cplxf), t.seconds());
 }
 
 void Comm::allreduce_sum(float* data, size_t n) {
   Timer t;
   allreduce_impl(group_.get(), rank_, data, n);
-  stats().add("Allreduce", static_cast<long long>(n * sizeof(float)),
-              t.seconds());
+  record_collective("Allreduce", n * sizeof(float), t.seconds());
 }
 
 namespace {
@@ -446,16 +442,14 @@ void Comm::allgatherv(const cplx* send, size_t send_count, cplx* recv,
                       const std::vector<size_t>& counts) {
   Timer t;
   allgatherv_impl(group_.get(), rank_, send, recv, counts);
-  stats().add("Allgatherv", static_cast<long long>(send_count * sizeof(cplx)),
-              t.seconds());
+  record_collective("Allgatherv", send_count * sizeof(cplx), t.seconds());
 }
 
 void Comm::allgatherv(const real_t* send, size_t send_count, real_t* recv,
                       const std::vector<size_t>& counts) {
   Timer t;
   allgatherv_impl(group_.get(), rank_, send, recv, counts);
-  stats().add("Allgatherv", static_cast<long long>(send_count * sizeof(real_t)),
-              t.seconds());
+  record_collective("Allgatherv", send_count * sizeof(real_t), t.seconds());
 }
 
 namespace {
@@ -471,13 +465,13 @@ void Comm::alltoallv_impl(const T* send, const std::vector<size_t>& send_counts,
              recv_counts.size() == static_cast<size_t>(p));
   // Eager-push every outgoing slice (self included), then drain inbound.
   size_t send_offset = 0;
-  long long bytes = 0;
+  size_t bytes = 0;
   for (int r = 0; r < p; ++r) {
     const size_t cnt = send_counts[static_cast<size_t>(r)];
     world_->push(world_rank(), world_rank_of(r), group_->context, kAlltoallvTag,
                  send + send_offset, cnt * sizeof(T));
     send_offset += cnt;
-    bytes += static_cast<long long>(cnt * sizeof(T));
+    bytes += cnt * sizeof(T);
   }
   size_t recv_offset = 0;
   for (int r = 0; r < p; ++r) {
@@ -486,7 +480,11 @@ void Comm::alltoallv_impl(const T* send, const std::vector<size_t>& send_counts,
                 recv + recv_offset, cnt * sizeof(T));
     recv_offset += cnt;
   }
-  stats().add("Alltoallv", bytes, t.seconds());
+  record_collective("Alltoallv", bytes, t.seconds());
+}
+
+void Comm::record_collective(const char* op, size_t bytes, double seconds) {
+  if (size() > 1) stats().add(op, static_cast<long long>(bytes), seconds);
 }
 
 void Comm::alltoallv(const cplx* send, const std::vector<size_t>& send_counts,

@@ -21,7 +21,8 @@
 //
 // Every call records (calls, bytes, seconds) into per-WORLD-rank CommStats
 // (subcommunicator traffic is charged to the owning world rank) — the
-// measured analogue of the paper's per-op communication table.
+// measured analogue of the paper's per-op communication table. Collectives
+// on a one-rank communicator record nothing.
 
 #include <condition_variable>
 #include <cstring>
@@ -195,6 +196,10 @@ class Comm {
  private:
   Comm(World* world, int rank, std::shared_ptr<Group> group);
 
+  // A collective on a one-rank communicator is a local copy that moves no
+  // bytes, so it records nothing: a serial run's CommStats stays empty.
+  void record_collective(const char* op, size_t bytes, double seconds);
+
   template <typename T>
   void alltoallv_impl(const T* send, const std::vector<size_t>& send_counts,
                       T* recv, const std::vector<size_t>& recv_counts);
@@ -219,7 +224,7 @@ void set_wire_model(double base_seconds, double seconds_per_byte);
 
 // A one-rank world owned by the caller: the serial layout of the band
 // layer. Its Comm runs every call on the calling thread (collectives
-// degenerate to copies) and still records them into stats().
+// degenerate to copies and record no traffic).
 class SelfComm {
  public:
   SelfComm();

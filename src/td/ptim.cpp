@@ -45,9 +45,6 @@ la::MatC midpoint(const la::MatC& a, const la::MatC& b) {
 void apply_exchange_knobs(ham::Hamiltonian& h, const PtImOptions& opt) {
   if (opt.exchange_precision) h.set_exchange_precision(*opt.exchange_precision);
   if (opt.exchange_backend) h.set_exchange_backend(*opt.exchange_backend);
-  if (opt.exchange_compression)
-    h.set_exchange_compression(*opt.exchange_compression);
-  if (opt.isdf_rank_factor) h.set_isdf_rank_factor(*opt.isdf_rank_factor);
 }
 
 }  // namespace

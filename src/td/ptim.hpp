@@ -62,13 +62,6 @@ struct PtImOptions {
   // Applied like exchange_precision; unset keeps the Hamiltonian's
   // configuration. Trajectories are bit-identical across backends.
   std::optional<backend::Kind> exchange_backend;
-  // Low-rank (ISDF) compression of the exchange apply (ham/isdf), applied
-  // like exchange_precision at propagator construction. The fit is rebuilt
-  // at every apply — i.e. refreshed on each ACE outer iteration together
-  // with the ACE projector itself — so there is no cross-step operator
-  // state. Unset keeps the Hamiltonian's configuration.
-  std::optional<ham::ExchangeCompression> exchange_compression;
-  std::optional<real_t> isdf_rank_factor;
   // false = PT-CN mode: freeze sigma and evolve only Phi — the earlier
   // parallel-transport Crank-Nicolson scheme (Jia et al., JCTC 2018) that
   // is valid for gapped/pure-state systems. PT-IM generalizes it to mixed

@@ -264,6 +264,19 @@ TEST(ExchangeBatch, OddBatchSizesAgree) {
   }
 }
 
+TEST(ExchangeBatch, RejectsZeroWidth) {
+  // A zero batch width throws at construction, and the setter rejects it
+  // the same way while leaving the current width unchanged.
+  Env e;
+  ham::ExchangeOptions bad;
+  bad.batch_size = 0;
+  EXPECT_THROW(ham::ExchangeOperator(e.map, bad), Error);
+
+  const size_t bs = e.xop.batch_size();
+  EXPECT_THROW(e.xop.set_batch_size(0), Error);
+  EXPECT_EQ(e.xop.batch_size(), bs);
+}
+
 // --------------------------------------------------- Γ-point fast path ----
 
 TEST(ExchangeGamma, MatchesComplexWithHalvedFftCount) {
@@ -379,31 +392,6 @@ TEST(ExchangeGamma, ComposesWithFp32Precision) {
   xf.apply_diag(phi, d, tgt, out);
   EXPECT_EQ(xf.fft_count, static_cast<long>(2 * ((nb + 1) / 2) * 2));
   EXPECT_LT(la::frob_diff(out, ref), 1e-5 * la::frob_norm(ref));
-}
-
-TEST(ExchangeGamma, IsdfCompressionUnaffectedByFlag) {
-  // ISDF short-circuits before the gamma gate: enabling the flag must not
-  // change a compressed apply by a single bit.
-  test::TinySystem sys = test::TinySystem::make(3.0);
-  pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
-  const size_t npw = sys.sphere->npw();
-  const size_t nb = 4;
-  const la::MatC phi = test::random_real_orbitals(map, nb, 810);
-  const la::MatC tgt = test::random_real_orbitals(map, 2, 811);
-  const std::vector<real_t> d{1.0, 0.8, 0.5, 0.2};
-
-  ham::ExchangeOptions base;
-  base.compression = ham::ExchangeCompression::kIsdf;
-  ham::ExchangeOperator xi(map, base);
-  la::MatC out_i(npw, 2);
-  xi.apply_diag(phi, d, tgt, out_i);
-
-  ham::ExchangeOptions gopt = base;
-  gopt.gamma_real = true;
-  ham::ExchangeOperator xgi(map, gopt);
-  la::MatC out_gi(npw, 2);
-  xgi.apply_diag(phi, d, tgt, out_gi);
-  EXPECT_EQ(la::frob_diff(out_i, out_gi), 0.0);
 }
 
 TEST(ExchangeGamma, MixedDiagInheritsGate) {

@@ -244,6 +244,30 @@ TEST(Checkpoint, DescriptiveErrorsOnBadFiles) {
   std::remove(path.c_str());
 }
 
+TEST(Checkpoint, HeaderDimensionsBoundedByFileSize) {
+  // npw = 2^31 and nb = 2^19 pass the plausibility bounds but would ask for
+  // 2^54 bytes: the reader must reject them against the bytes left in the
+  // file before it allocates anything.
+  const std::string path = "test_io_dims.ckpt";
+  io::save_checkpoint(path, sample_checkpoint());
+  std::vector<unsigned char> corrupted = slurp(path);
+  // v2 header: magic, version, sentinel, config hash, step, time and the
+  // three avec components put npw at byte 64 and nb at byte 72.
+  uint64_t npw = 0, nb = 0;
+  std::memcpy(&npw, corrupted.data() + 64, sizeof(npw));
+  std::memcpy(&nb, corrupted.data() + 72, sizeof(nb));
+  ASSERT_EQ(npw, 40u);
+  ASSERT_EQ(nb, 5u);
+  npw = 1ull << 31;
+  nb = 1ull << 19;
+  std::memcpy(corrupted.data() + 64, &npw, sizeof(npw));
+  std::memcpy(corrupted.data() + 72, &nb, sizeof(nb));
+  spit(path, corrupted);
+  expect_error_containing([&] { io::load_checkpoint(path); },
+                          "header corrupt");
+  std::remove(path.c_str());
+}
+
 // --- mid-trajectory split against the golden fixture ----------------------
 
 TEST(CheckpointResume, SerialSplitReplaysGoldenAndFinalStateBitwise) {

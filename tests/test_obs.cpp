@@ -286,7 +286,6 @@ TEST(ObsMetrics, StepReportJsonlRoundTrips) {
   r.alltoallv_bytes = 987;
   r.allreduce_bytes = 55;
   r.comm_seconds = 0.25;
-  r.isdf_fit_seconds = 0.125;
   r.alloc_delta = 17;
 
   const std::string line = to_jsonl(r);
@@ -307,7 +306,6 @@ TEST(ObsMetrics, StepReportJsonlRoundTrips) {
   EXPECT_EQ(p.alltoallv_bytes, 987);
   EXPECT_EQ(p.allreduce_bytes, 55);
   EXPECT_EQ(p.comm_seconds, 0.25);
-  EXPECT_EQ(p.isdf_fit_seconds, 0.125);
   EXPECT_EQ(p.alloc_delta, 17);
 
   EXPECT_FALSE(obs::from_jsonl("not a json line", &p));
@@ -371,6 +369,7 @@ TEST(ObsEndToEnd, SerialRunWritesOneReportPerStepAndATrace) {
     EXPECT_GT(r.ffts, 0);
     EXPECT_GT(r.scf_iterations, 0);
     EXPECT_EQ(r.converged, 1);
+    EXPECT_EQ(r.allreduce_bytes, 0);  // one-rank collectives move no bytes
   }
   EXPECT_EQ(expect_step, cfg.steps + 1);
 

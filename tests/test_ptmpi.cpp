@@ -205,6 +205,21 @@ TEST(Ptmpi, StatsRecorded) {
   EXPECT_GE(stats[0].total_seconds(), 0.0);
 }
 
+TEST(Ptmpi, OneRankCollectivesRecordNoTraffic) {
+  // A one-rank collective is a local copy that moves no bytes, so it
+  // records nothing: a serial run reports zero traffic.
+  ptmpi::SelfComm self;
+  ptmpi::Comm& c = self.comm();
+  std::vector<cplx> v(100, cplx(1.0));
+  c.allreduce_sum(v.data(), v.size());
+  EXPECT_EQ(v[0], cplx(1.0));
+  std::vector<cplx> g(v.size());
+  c.allgatherv(v.data(), v.size(), g.data(), {v.size()});
+  EXPECT_EQ(g, v);
+  c.bcast(v.data(), v.size() * sizeof(cplx), 0);
+  EXPECT_TRUE(c.stats().ops.empty());
+}
+
 // ------------------------------------------------------- stress tests ---
 
 namespace {
