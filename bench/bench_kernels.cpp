@@ -4,8 +4,7 @@
 // density builders. The google-benchmark section is optional
 // (PTIM_HAVE_BENCHMARK; CI images lack the library): the plain-chrono
 // comparisons below always build — per-pair vs batched exchange, FP64 vs
-// FP32, the per-SIMD-ISA c2c vs Γ-point r2c engine head-to-head and the
-// complex vs gamma_real exchange pipeline — and the latter two record
+// FP32 and the batched c2c engine per SIMD ISA — and the last records
 // FFT-count-gated rows to BENCH_kernels.json.
 
 #ifdef PTIM_HAVE_BENCHMARK
@@ -15,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -378,124 +376,45 @@ struct KernelRow {
 };
 std::vector<KernelRow> kernel_rows;
 
-// Batched 3-D engine head-to-head per available SIMD ISA: the complex c2c
-// batch vs the Γ-point r2c paths — full (unscrambled conjugate-symmetric
-// spectra) and packed (two reals per lane, the transform the exchange
-// pipeline actually runs). Acceptance: packed r2c at the best ISA >= 2x
-// the scalar c2c batch on the same fields.
+// Batched 3-D c2c engine per available SIMD ISA on the same fields, with
+// the speedup over the scalar kernels.
 void fft_engine_comparison() {
   const size_t n = 20, nfields = 16;
   fft::Fft3 f(n, n, n);
-  const size_t ng = f.size();
-  const size_t nlanes = (nfields + 1) / 2;
   Rng rng(17);
-  std::vector<real_t> rdata(nfields * ng);
-  for (auto& v : rdata) v = rng.uniform() - 0.5;
-  std::vector<cplx> cdata(nfields * ng), spec(nfields * ng),
-      packed(nlanes * ng);
-  for (size_t i = 0; i < cdata.size(); ++i) cdata[i] = cplx(rdata[i], 0.0);
-  for (size_t q = 0; q < nlanes; ++q)
-    for (size_t i = 0; i < ng; ++i)
-      packed[q * ng + i] =
-          cplx(rdata[2 * q * ng + i], rdata[(2 * q + 1) * ng + i]);
-  std::vector<real_t> rout(nfields * ng);
+  std::vector<cplx> cdata(nfields * f.size());
+  for (auto& v : cdata) v = cplx(rng.uniform() - 0.5, 0.0);
 
-  std::printf("\nBatched 3-D FFT engine: c2c vs Γ-point r2c per SIMD ISA "
-              "(%zu^3 box, %zu real fields)\n",
+  std::printf("\nBatched 3-D FFT engine: c2c per SIMD ISA (%zu^3 box, %zu "
+              "fields)\n",
               n, nfields);
-  std::printf("%8s %12s %8s %12s %6s %10s\n", "isa", "variant", "fields",
-              "seconds", "FFTs", "speedup");
+  std::printf("%8s %8s %12s %6s %10s\n", "isa", "fields", "seconds", "FFTs",
+              "speedup");
   const int reps = 6;
+  const long ffts = 2L * static_cast<long>(nfields);  // forward + inverse
+  auto run = [&] {
+    f.forward_batch(cdata.data(), nfields);
+    f.inverse_batch(cdata.data(), nfields);
+  };
   double scalar_c2c = 0.0;
   using fft::simd::Isa;
   for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kNeon}) {
     if (!fft::simd::available(isa)) continue;
     fft::simd::force_isa(isa);
-    struct Variant {
-      const char* name;
-      std::function<void()> run;
-      long ffts;  // 3-D transforms per run (forward + inverse)
-    };
-    const std::vector<Variant> variants = {
-        {"c2c",
-         [&] {
-           f.forward_batch(cdata.data(), nfields);
-           f.inverse_batch(cdata.data(), nfields);
-         },
-         2L * static_cast<long>(nfields)},
-        {"r2c_full",
-         [&] {
-           f.forward_batch_real(rdata.data(), spec.data(), nfields);
-           f.inverse_batch_real(spec.data(), rout.data(), nfields);
-         },
-         2L * static_cast<long>(nlanes)},
-        {"r2c_packed",
-         [&] {
-           f.forward_batch(packed.data(), nlanes);
-           f.inverse_batch(packed.data(), nlanes);
-         },
-         2L * static_cast<long>(nlanes)}};
-    for (const Variant& v : variants) {
-      v.run();  // warm-up
-      double best = 1e300;
-      for (int r = 0; r < reps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        v.run();
-        const auto t1 = std::chrono::steady_clock::now();
-        best =
-            std::min(best, std::chrono::duration<double>(t1 - t0).count());
-      }
-      if (isa == Isa::kScalar && std::string(v.name) == "c2c")
-        scalar_c2c = best;
-      std::printf("%8s %12s %8zu %12.5f %6ld %9.2fx\n",
-                  fft::simd::isa_name(isa), v.name, nfields, best, v.ffts,
-                  scalar_c2c / best);
-      kernel_rows.push_back({"fft_engine", fft::simd::isa_name(isa), v.name,
-                             nfields, best, v.ffts});
+    run();  // warm-up
+    double best = 1e300;
+    for (int r = 0; r < reps; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      run();
+      const auto t1 = std::chrono::steady_clock::now();
+      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
     }
+    if (isa == Isa::kScalar) scalar_c2c = best;
+    std::printf("%8s %8zu %12.5f %6ld %9.2fx\n", fft::simd::isa_name(isa),
+                nfields, best, ffts, scalar_c2c / best);
+    kernel_rows.push_back(
+        {"fft_engine", fft::simd::isa_name(isa), "c2c", nfields, best, ffts});
     fft::simd::clear_forced_isa();
-  }
-}
-
-// Γ-point gamma_real exchange: real orbitals through the packed pair-FFT
-// path vs the complex pipeline on the same 8x8 problem — the FFT count
-// halves (gated) and wall-clock follows.
-void exchange_gamma_comparison() {
-  auto& x = xbench();
-  const size_t nb = 8;
-  const size_t npw = x.sphere.npw();
-  Rng rng(19);
-  la::MatC src(npw, nb);
-  std::vector<cplx> field(x.wfc.size());
-  for (size_t b = 0; b < nb; ++b) {
-    for (auto& v : field) v = cplx(rng.uniform() - 0.5, 0.0);
-    x.map.to_sphere(field.data(), src.col(b));
-  }
-  pw::orthonormalize_lowdin(src);
-  const std::vector<real_t> d(nb, 0.5);
-
-  std::printf("\nExchange apply: complex vs Γ-point gamma_real pipeline "
-              "(real orbitals, 8 sources x 8 targets)\n");
-  std::printf("%12s %12s %10s %10s\n", "mode", "seconds", "FFTs", "speedup");
-  const int reps = 20;
-  double base = 0.0;
-  for (const bool gamma : {false, true}) {
-    ham::ExchangeOptions opt;
-    opt.gamma_real = gamma;
-    ham::ExchangeOperator xop(x.map, opt);
-    la::MatC out(npw, nb);
-    xop.apply_diag(src, d, src, out);  // warm-up
-    xop.fft_count = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) xop.apply_diag(src, d, src, out);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double sec = std::chrono::duration<double>(t1 - t0).count() / reps;
-    if (!gamma) base = sec;
-    const long ffts = xop.fft_count / reps;
-    std::printf("%12s %12.5f %10ld %9.2fx\n",
-                gamma ? "gamma_real" : "complex", sec, ffts, base / sec);
-    kernel_rows.push_back({"exchange_gamma", "-",
-                           gamma ? "gamma_real" : "complex", nb, sec, ffts});
   }
 }
 
@@ -515,7 +434,7 @@ void write_kernels_json() {
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
-    std::printf("(engine/gamma rows written to %s)\n", path);
+    std::printf("(engine rows written to %s)\n", path);
   }
 }
 
@@ -534,7 +453,6 @@ int main(int argc, char** argv) {
   exchange_batch_comparison();
   exchange_precision_comparison();
   fft_engine_comparison();
-  exchange_gamma_comparison();
   write_kernels_json();
   return 0;
 }

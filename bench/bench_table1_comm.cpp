@@ -16,10 +16,8 @@
 
 #include "backend/backend.hpp"
 #include "bench_common.hpp"
-#include "common/rng.hpp"
 #include "dist/exchange_dist.hpp"
 #include "netsim/experiments.hpp"
-#include "pw/wavefunction.hpp"
 
 using namespace ptim;
 
@@ -165,67 +163,6 @@ int main() {
     std::printf("\n");
   }
 
-  // Γ-point gamma_real circulation: with genuinely REAL orbitals the dist
-  // layer votes the whole apply onto real payloads, so the circulating
-  // slab bytes (Bcast under kBcast, Sendrecv/Wait under the rings) halve
-  // versus the complex pipeline — and compose with the FP32 policy for a
-  // 4x total cut. Recorded machine-readable as the "gamma_ring" array.
-  struct GammaRow {
-    const char* pattern;
-    const char* mode;
-    long long bcast, sendrecv, wait;
-  };
-  std::vector<GammaRow> gamma_rows;
-  {
-    const size_t nb = 6;
-    const size_t ng = sys.wfc_grid->size();
-    Rng grng(23);
-    la::MatC rphi(sys.sphere->npw(), nb);
-    std::vector<cplx> field(ng);
-    for (size_t b = 0; b < nb; ++b) {
-      for (auto& v : field) v = cplx(grng.uniform() - 0.5, 0.0);
-      map.to_sphere(field.data(), rphi.col(b));
-    }
-    pw::orthonormalize_lowdin(rphi);
-    const std::vector<real_t> rd(nb, 0.5);
-    std::printf("\n[measured] Γ-point real orbitals: complex vs gamma_real "
-                "circulation bytes (4 thread ranks, one exchange apply)\n");
-    std::printf("%-10s %-12s %12s %12s %12s\n", "pattern", "mode", "Bcast",
-                "Sendrecv", "Wait");
-    for (const auto pat :
-         {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
-          dist::ExchangePattern::kAsyncRing}) {
-      struct Mode {
-        const char* name;
-        bool gamma;
-        Precision prec;
-      };
-      for (const Mode& m :
-           {Mode{"complex", false, Precision::kDouble},
-            Mode{"gamma", true, Precision::kDouble},
-            Mode{"gamma+fp32", true, Precision::kSingle}}) {
-        ham::ExchangeOptions xopt;
-        xopt.gamma_real = m.gamma;
-        xopt.precision = m.prec;
-        ham::ExchangeOperator xop{map, xopt};
-        ptmpi::run_ranks(4, 2, [&](ptmpi::Comm& c) {
-          (void)bench::exchange_block(c, xop, rphi, rd, rphi, pat);
-        });
-        const ptmpi::CommStats st = ptmpi::last_run_stats()[0].snapshot();
-        auto bytes_of = [&](const char* op) -> long long {
-          const auto it = st.ops.find(op);
-          return it == st.ops.end() ? 0LL : it->second.bytes;
-        };
-        const GammaRow row{dist::pattern_name(pat), m.name, bytes_of("Bcast"),
-                           bytes_of("Sendrecv"), bytes_of("Wait")};
-        std::printf("%-10s %-12s %12lld %12lld %12lld\n",
-                    m.gamma == false ? row.pattern : "", row.mode, row.bcast,
-                    row.sendrecv, row.wait);
-        gamma_rows.push_back(row);
-      }
-    }
-  }
-
   // 2-D pb x pg sweep at equal total ranks: the grid dimension shrinks the
   // circulating ring payload (z-slab portions instead of whole-grid slabs,
   // a pg-fold cut) and moves the pair FFTs onto the distributed slab
@@ -343,16 +280,6 @@ int main() {
                    o.serialized_s / o.step_s,
                    std::max(0.0, o.serialized_s - o.step_s),
                    i + 1 < overlaps.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"gamma_ring\": [\n");
-    for (size_t i = 0; i < gamma_rows.size(); ++i) {
-      const auto& g = gamma_rows[i];
-      std::fprintf(f,
-                   "    {\"pattern\": \"%s\", \"mode\": \"%s\", "
-                   "\"bcast_bytes\": %lld, \"sendrecv_bytes\": %lld, "
-                   "\"wait_bytes\": %lld}%s\n",
-                   g.pattern, g.mode, g.bcast, g.sendrecv, g.wait,
-                   i + 1 < gamma_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -16,7 +16,11 @@
 
 #include <unistd.h>
 
+#include <cerrno>
+#include <climits>
+#include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "bench_common.hpp"
 #include "core/campaign.hpp"
@@ -54,11 +58,33 @@ bool states_identical(const td::TdState& a, const td::TdState& b) {
                      a.sigma.size() * sizeof(cplx)) == 0;
 }
 
+// argv[i] as a positive int, or `fallback` when absent. Anything else
+// (non-numeric, trailing junk, <= 0, out of range) is nullopt, so a stray
+// flag cannot silently mean zero trajectories.
+std::optional<int> positive_arg(int argc, char** argv, int i, int fallback) {
+  if (argc <= i) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(argv[i], &end, 10);
+  if (end == argv[i] || *end != '\0' || errno == ERANGE || v <= 0 ||
+      v > INT_MAX)
+    return std::nullopt;
+  return static_cast<int>(v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 6;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 4;
+  const std::optional<int> n_arg = positive_arg(argc, argv, 1, 6);
+  const std::optional<int> steps_arg = positive_arg(argc, argv, 2, 4);
+  if (!n_arg || !steps_arg) {
+    std::fprintf(stderr,
+                 "usage: bench_throughput [trajectories] [steps]\n"
+                 "  both positive integers (defaults 6 and 4)\n");
+    return 2;
+  }
+  const int n = *n_arg;
+  const int steps = *steps_arg;
 
   bench::header("ensemble trajectory throughput (PT-IM-ACE, hybrid)");
   std::printf("%d trajectories x %d steps over one shared ground state\n\n",

@@ -14,8 +14,8 @@ of the artifact set must not pass CI). Two schemas are understood:
   2. custom dumps:            {"<key>": [{...}, ...], "<key2>": [...], ...}
 
 EVERY list-of-dicts array in a document is gated (custom dumps may carry
-several — e.g. BENCH_table1_comm.json's "model", "overlap" and
-"gamma_ring" sections); arrays are matched between baseline and candidate
+several — e.g. BENCH_table1_comm.json's "model" and "overlap"
+sections); arrays are matched between baseline and candidate
 by their key, and a baseline array missing from the candidate document is
 a failure.
 

@@ -48,54 +48,6 @@ la::MatC diag_circulation(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
   return out;
 }
 
-// Γ-point circulation (gamma_real mode, fields verified real by every
-// rank): the ring carries REAL real-space slabs — half the bytes of the
-// complex circulation above at equal precision (a quarter for RS = realf_t
-// versus cplx) — and each slab's contribution runs the packed real-pair
-// pipeline. Contributions are staged PER ORIGIN and reduced in origin
-// order 0..p-1 after the circulation: the three patterns deliver slabs in
-// different orders, so accumulating on arrival (as the complex path does)
-// would give pattern-dependent bits, while the staged reduction makes the
-// result bitwise-invariant across patterns (pinned in test_dist).
-template <typename RS, typename CS>
-la::MatC diag_circulation_gamma(ptmpi::Comm& c,
-                                const ham::ExchangeOperator& xop,
-                                const la::Matrix<CS>& mine_m,
-                                const std::vector<real_t>& d_all,
-                                const la::MatC& tgt_local,
-                                const BlockLayout& src_bands,
-                                ExchangePattern pat) {
-  const size_t ng = xop.map().grid().size();
-  const size_t w_me = mine_m.cols();
-
-  std::vector<RS> mine(w_me * ng);
-  for (size_t b = 0; b < w_me; ++b)
-    for (size_t r = 0; r < ng; ++r)
-      mine[b * ng + r] = mine_m.col(b)[r].real();
-
-  const int p = c.size();
-  std::vector<la::MatC> contrib(
-      static_cast<size_t>(p),
-      la::MatC(tgt_local.rows(), tgt_local.cols(), cplx(0.0)));
-  auto apply_block = [&](const RS* slab, int origin) {
-    const size_t w = src_bands.count(origin);
-    if (w == 0 || tgt_local.cols() == 0) return;
-    xop.apply_diag_realspace_real(slab, w,
-                                  d_all.data() + src_bands.offset(origin),
-                                  tgt_local, contrib[static_cast<size_t>(origin)],
-                                  /*accumulate=*/true);
-  };
-  circulate_slabs(c, src_bands, ng, mine.data(), pat, apply_block,
-                  &backend::shared_executor(xop.options().backend));
-
-  la::MatC out(tgt_local.rows(), tgt_local.cols(), cplx(0.0));
-  for (int o = 0; o < p; ++o) {
-    const la::MatC& co = contrib[static_cast<size_t>(o)];
-    for (size_t i = 0; i < out.size(); ++i) out.data()[i] += co.data()[i];
-  }
-  return out;
-}
-
 template <typename CS>
 la::MatC mixed_circulation(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
                            const la::MatC& src_local,
@@ -139,28 +91,6 @@ la::MatC mixed_circulation(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
   return out;
 }
 
-// Γ-point agreement vote: this rank's sources (already in real space) and
-// targets are tested with the operator's shared realness criterion, then
-// the per-rank verdicts are combined — real payloads circulate only when
-// EVERY rank's fields pass (an allreduced sum of 1.0 flags must equal p).
-template <typename CS>
-bool gamma_vote(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
-                const la::Matrix<CS>& src_grid, const la::MatC& tgt_local) {
-  const size_t ng = xop.map().grid().size();
-  bool real = true;
-  for (size_t b = 0; b < src_grid.cols() && real; ++b)
-    real = ham::ExchangeOperator::field_is_real(src_grid.col(b), ng);
-  if (real && tgt_local.cols() > 0) {
-    la::Matrix<CS> tgt_grid;
-    xop.map().to_real_batch(tgt_local, tgt_grid);
-    for (size_t j = 0; j < tgt_grid.cols() && real; ++j)
-      real = ham::ExchangeOperator::field_is_real(tgt_grid.col(j), ng);
-  }
-  real_t vote = real ? 1.0 : 0.0;
-  c.allreduce_sum(&vote, 1);
-  return vote == static_cast<real_t>(c.size());
-}
-
 }  // namespace
 
 la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
@@ -183,27 +113,6 @@ la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
     counts[static_cast<size_t>(r)] = src_bands.count(r);
   std::vector<real_t> d(src_bands.total());
   c.allgatherv(d_local.data(), d_local.size(), d.data(), counts);
-
-  if (xop.gamma_real()) {
-    // Γ-point fast path: if every rank's sources and targets are real,
-    // circulate REAL slabs (half the ring bytes) through the packed
-    // real-pair pipeline; otherwise fall through to the complex
-    // circulation, bitwise-identical to gamma_real off.
-    if (xop.options().precision != Precision::kDouble) {
-      la::MatCf mine_m;
-      xop.map().to_real_batch(src_local, mine_m);
-      if (gamma_vote(c, xop, mine_m, tgt_local))
-        return diag_circulation_gamma<realf_t, cplxf>(c, xop, mine_m, d,
-                                                      tgt_local, src_bands,
-                                                      pat);
-    } else {
-      la::MatC mine_m;
-      xop.map().to_real_batch(src_local, mine_m);
-      if (gamma_vote(c, xop, mine_m, tgt_local))
-        return diag_circulation_gamma<real_t, cplx>(c, xop, mine_m, d,
-                                                    tgt_local, src_bands, pat);
-    }
-  }
 
   if (xop.options().precision != Precision::kDouble)
     return diag_circulation<cplxf>(c, xop, src_local, d, tgt_local, src_bands,

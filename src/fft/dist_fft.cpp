@@ -219,39 +219,6 @@ void DistFft3T<R>::inverse(const C* pencil, C* slab, size_t nbatch) const {
   seconds_ += t.seconds();
 }
 
-template <typename R>
-void DistFft3T<R>::forward_batch_real(const R* slab, C* pencil,
-                                      size_t nfields) const {
-  if (nfields == 0) return;
-  const size_t nloc = nreal();
-  const size_t nlanes = (nfields + 1) / 2;
-  realpack_.resize(nlanes * nloc);
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t q = 0; q < nlanes; ++q)
-    for (size_t r = 0; r < nloc; ++r)
-      realpack_[q * nloc + r] =
-          C(slab[2 * q * nloc + r],
-            (2 * q + 1 < nfields) ? slab[(2 * q + 1) * nloc + r] : R(0));
-  forward(realpack_.data(), pencil, nlanes);
-}
-
-template <typename R>
-void DistFft3T<R>::inverse_batch_real(const C* pencil, R* slab,
-                                      size_t nfields) const {
-  if (nfields == 0) return;
-  const size_t nloc = nreal();
-  const size_t nlanes = (nfields + 1) / 2;
-  realpack_.resize(nlanes * nloc);
-  inverse(pencil, realpack_.data(), nlanes);
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t q = 0; q < nlanes; ++q)
-    for (size_t r = 0; r < nloc; ++r) {
-      slab[2 * q * nloc + r] = realpack_[q * nloc + r].real();
-      if (2 * q + 1 < nfields)
-        slab[(2 * q + 1) * nloc + r] = realpack_[q * nloc + r].imag();
-    }
-}
-
 template class DistFft3T<float>;
 template class DistFft3T<double>;
 

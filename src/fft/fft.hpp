@@ -27,6 +27,9 @@
 // run a contiguous batch of 3-D arrays through that machinery with one
 // OpenMP region and per-thread tile scratch — the stand-in for the batched
 // cuFFT/rocFFT calls that dominate the paper's exact-exchange apply.
+//
+// Complex-to-complex only: the exchange pair densities of propagated
+// (complex) orbitals are complex fields, so there is no r2c entry point.
 
 #include <array>
 #include <memory>
@@ -75,15 +78,6 @@ class Plan1DT {
                                    R* out_im, size_t vlen) const;
   void inverse_many_split(const R* in_re, const R* in_im, R* out_re,
                           R* out_im, size_t vlen) const;
-
-  // Γ-point helpers: TWO real length-n signals per complex transform.
-  // forward_real_pair packs z = a + i b, transforms once, and unscrambles
-  // the packed spectrum into the two full-size conjugate-symmetric spectra
-  // fa, fb (fb may be null when b is null — one unpaired signal, zero
-  // imaginary lane). inverse_real_pair is the exact mirror (scaled 1/n):
-  // it combines z = fa + i fb, inverts once, and splits Re/Im.
-  void forward_real_pair(const R* a, const R* b, C* fa, C* fb) const;
-  void inverse_real_pair(const C* fa, const C* fb, R* a, R* b) const;
 
  private:
   void transform(const C* in, C* out, bool fwd) const;
@@ -148,20 +142,6 @@ class Fft3T {
   // and single calls are bit-identical per array by construction.
   void forward_batch(C* data, size_t nbatch) const;
   void inverse_batch(C* data, size_t nbatch) const;  // each scaled 1/size()
-
-  // Γ-point real-batch transforms: `nreal` REAL size()-element fields ride
-  // ceil(nreal/2) complex transforms (two reals packed per lane as
-  // z = a + i b; an odd trailing field gets a zero imaginary lane).
-  // forward_batch_real writes the nreal FULL-SIZE conjugate-symmetric
-  // spectra to `spec` (post-transform unscramble via the 3-D negated-index
-  // symmetry), so spectral filters index exactly as in the complex path;
-  // the conjugate symmetry spec[-k] == conj(spec[k]) is bitwise-exact by
-  // construction. inverse_batch_real is the mirror: it assumes
-  // conjugate-symmetric input spectra, recombines two per lane, and
-  // returns the real fields (each scaled by 1/size()). Halves the
-  // transform count of the complex batch engine for real wavefunctions.
-  void forward_batch_real(const R* data, C* spec, size_t nreal) const;
-  void inverse_batch_real(const C* spec, R* data, size_t nreal) const;
 
  private:
   enum class Dir { kForward, kInverse };

@@ -14,26 +14,6 @@ namespace ptim::ham {
 
 namespace {
 
-// Γ-point realness test: a field counts as real when its largest imaginary
-// component is negligible against its largest real one (complex-to-real FFT
-// round trips leave ~1e-16 relative imaginary dust in FP64, ~1e-7 in FP32;
-// the thresholds sit orders of magnitude above the dust and below any
-// genuine complex phase). An all-zero field is real.
-template <typename C>
-bool field_is_real_tol(const C* v, size_t n, double tol) {
-  double mre = 0.0, mim = 0.0;
-#pragma omp parallel for schedule(static) reduction(max : mre, mim)
-  for (size_t r = 0; r < n; ++r) {
-    mre = std::max(mre, std::abs(static_cast<double>(v[r].real())));
-    mim = std::max(mim, std::abs(static_cast<double>(v[r].imag())));
-  }
-  return mim <= tol * mre;
-}
-
-// Detection thresholds by pipeline scalar (see field_is_real_tol).
-constexpr double kRealTolF64 = 1e-12;
-constexpr double kRealTolF32 = 1e-5;
-
 void check_batch_size(size_t bs) {
   if (bs == 0)
     throw Error(
@@ -43,13 +23,6 @@ void check_batch_size(size_t bs) {
 }
 
 }  // namespace
-
-bool ExchangeOperator::field_is_real(const cplx* v, size_t n) {
-  return field_is_real_tol(v, n, kRealTolF64);
-}
-bool ExchangeOperator::field_is_real(const cplxf* v, size_t n) {
-  return field_is_real_tol(v, n, kRealTolF32);
-}
 
 ExchangeOperator::ExchangeOperator(const pw::SphereGridMap& wfc_map,
                                    ExchangeOptions opt)
@@ -116,10 +89,6 @@ void ExchangeOperator::pair_accumulate(const cplx* src_real, size_t nsrc,
     if (d[i] != 0.0) active.push_back(i);
   if (active.empty()) return;
 
-  if (opt_.gamma_real &&
-      try_gamma_real<real_t, cplx>(src_real, nsrc, d, active, tgt, out))
-    return;
-
   if (opt_.batch_size <= 1)
     pair_accumulate_single(src_real, d, active, tgt, out);
   else
@@ -138,10 +107,6 @@ void ExchangeOperator::pair_accumulate_f32(const cplxf* src_real, size_t nsrc,
   for (size_t i = 0; i < nsrc; ++i)
     if (d[i] != 0.0) active.push_back(i);
   if (active.empty()) return;
-
-  if (opt_.gamma_real &&
-      try_gamma_real<realf_t, cplxf>(src_real, nsrc, d, active, tgt, out))
-    return;
 
   pair_accumulate_blocks(src_real, d, active, tgt, out);
 }
@@ -271,51 +236,6 @@ void ExchangeOperator::gather_accumulate(const cplx* acc, cplx* scratch,
   for (size_t p = 0; p < npw; ++p) out_col[p] += a * scratch[p];
 }
 
-// --- Γ-point real-pair stages ---------------------------------------------
-// Two real pair densities per complex FFT lane (see exchange.hpp). The
-// packed lane goes through the UNCHANGED kernel_filter_block: K(G) is real
-// and even, so by linearity the filter acts on the Re and Im residents
-// independently and exactly — no spectrum unscramble anywhere.
-
-template <typename RS, typename CS>
-void ExchangeOperator::pair_pack_block_real(const RS* src_real,
-                                            const size_t* idx, size_t nb,
-                                            const RS* tgt_real, CS* block,
-                                            size_t nloc) const {
-  OBS_SPAN("xchg.pair_form", obs::Cat::kCompute);
-  const size_t nlanes = (nb + 1) / 2;
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t q = 0; q < nlanes; ++q)
-    for (size_t r = 0; r < nloc; ++r) {
-      const RS a = src_real[idx[2 * q] * nloc + r] * tgt_real[r];
-      const RS b = (2 * q + 1 < nb)
-                       ? src_real[idx[2 * q + 1] * nloc + r] * tgt_real[r]
-                       : RS(0);
-      block[q * nloc + r] = CS(a, b);
-    }
-}
-
-template <typename RS, typename CS>
-void ExchangeOperator::accumulate_block_real(const RS* src_real,
-                                             const size_t* idx, const real_t* d,
-                                             size_t nb, const CS* block,
-                                             real_t* acc, size_t nloc) const {
-  OBS_SPAN("xchg.accumulate", obs::Cat::kCompute);
-  const size_t ng = map_->grid().size();
-#pragma omp parallel for schedule(static)
-  for (size_t r = 0; r < nloc; ++r) {
-    for (size_t i = 0; i < nb; ++i) {
-      const size_t s = idx[i];
-      const CS z = block[(i / 2) * nloc + r];
-      const real_t u = (i % 2 == 0) ? static_cast<real_t>(z.real())
-                                    : static_cast<real_t>(z.imag());
-      // Undo the inverse-FFT 1/Ng scaling (unscaled synthesis wanted).
-      acc[r] += (d[s] * static_cast<real_t>(ng)) *
-                static_cast<real_t>(src_real[s * nloc + r]) * u;
-    }
-  }
-}
-
 // The stage templates are defined here only; these are the scalars the
 // pipelines run (FP64 and FP32 slabs).
 template void ExchangeOperator::pair_form_block(const cplx*, const size_t*,
@@ -342,154 +262,6 @@ template void ExchangeOperator::accumulate_weighted_block(const cplxf*,
                                                           const size_t*, size_t,
                                                           const cplxf*, cplx*,
                                                           size_t) const;
-template void ExchangeOperator::pair_pack_block_real(const real_t*,
-                                                     const size_t*, size_t,
-                                                     const real_t*, cplx*,
-                                                     size_t) const;
-template void ExchangeOperator::pair_pack_block_real(const realf_t*,
-                                                     const size_t*, size_t,
-                                                     const realf_t*, cplxf*,
-                                                     size_t) const;
-template void ExchangeOperator::accumulate_block_real(const real_t*,
-                                                      const size_t*,
-                                                      const real_t*, size_t,
-                                                      const cplx*, real_t*,
-                                                      size_t) const;
-template void ExchangeOperator::accumulate_block_real(const realf_t*,
-                                                      const size_t*,
-                                                      const real_t*, size_t,
-                                                      const cplxf*, real_t*,
-                                                      size_t) const;
-
-// Γ-point block engine: blocks of 2*batch_size real densities ride
-// batch_size packed FFT lanes, so the transform workspace matches the
-// complex engine's while the transform COUNT halves. Block boundaries sit
-// at even density offsets — lane pairing, every transformed value, and the
-// in-order FP64 accumulation are all independent of batch_size (pinned
-// bitwise in tests/test_exchange.cpp).
-template <typename RS, typename CS>
-void ExchangeOperator::pair_accumulate_real_blocks(
-    const RS* src_real, const real_t* d, const std::vector<size_t>& active,
-    const RS* tgt_real, size_t ntgt, la::MatC& out) const {
-  const size_t ng = map_->grid().size();
-  const size_t bs2 = 2 * opt_.batch_size;
-
-  std::vector<CS> block((bs2 / 2) * ng);
-  std::vector<real_t> acc(ng);
-  std::vector<cplx> acc_c(ng), gathered(out.rows());
-  for (size_t j = 0; j < ntgt; ++j) {
-    const RS* tj = tgt_real + j * ng;
-    std::fill(acc.begin(), acc.end(), real_t(0));
-    for (size_t i0 = 0; i0 < active.size(); i0 += bs2) {
-      const size_t nb = std::min(bs2, active.size() - i0);
-      pair_pack_block_real(src_real, active.data() + i0, nb, tj, block.data(),
-                           ng);
-      kernel_filter_block(block.data(), (nb + 1) / 2);
-      accumulate_block_real(src_real, active.data() + i0, d, nb, block.data(),
-                            acc.data(), ng);
-    }
-#pragma omp parallel for schedule(static)
-    for (size_t r = 0; r < ng; ++r) acc_c[r] = cplx(acc[r], 0.0);
-    gather_accumulate(acc_c.data(), gathered.data(), out.col(j));
-  }
-}
-
-// Realness gate of the dense diag paths: transform the targets, test every
-// active source and every target, and only then commit to the real engine.
-// Any complex field anywhere means a `false` return with `out` untouched —
-// the caller's complex pipeline then runs exactly as with gamma_real off.
-template <typename RS, typename CS>
-bool ExchangeOperator::try_gamma_real(const CS* src_real, size_t nsrc,
-                                      const real_t* d,
-                                      const std::vector<size_t>& active,
-                                      const la::MatC& tgt,
-                                      la::MatC& out) const {
-  const size_t ng = map_->grid().size();
-  for (const size_t i : active)
-    if (!field_is_real(src_real + i * ng, ng)) return false;
-  la::Matrix<CS> tgt_grid;
-  map_->to_real_batch(tgt, tgt_grid);
-  const size_t ntgt = tgt.cols();
-  for (size_t j = 0; j < ntgt; ++j)
-    if (!field_is_real(tgt_grid.col(j), ng)) return false;
-
-  std::vector<RS> src_r(nsrc * ng), tgt_r(ntgt * ng);
-  const size_t na = active.size();
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t a = 0; a < na; ++a)
-    for (size_t r = 0; r < ng; ++r) {
-      const size_t i = active[a];
-      src_r[i * ng + r] = src_real[i * ng + r].real();
-    }
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t j = 0; j < ntgt; ++j)
-    for (size_t r = 0; r < ng; ++r)
-      tgt_r[j * ng + r] = tgt_grid.col(j)[r].real();
-
-  pair_accumulate_real_blocks<RS, CS>(src_r.data(), d, active, tgt_r.data(),
-                                      ntgt, out);
-  return true;
-}
-
-void ExchangeOperator::apply_diag_realspace_real(const real_t* src_real,
-                                                 size_t nsrc, const real_t* d,
-                                                 const la::MatC& tgt,
-                                                 la::MatC& out,
-                                                 bool accumulate) const {
-  const size_t ng = map_->grid().size();
-  if (opt_.precision != Precision::kDouble) {
-    std::vector<realf_t> srcf(nsrc * ng);
-#pragma omp parallel for schedule(static)
-    for (size_t i = 0; i < nsrc * ng; ++i)
-      srcf[i] = static_cast<realf_t>(src_real[i]);
-    apply_diag_realspace_real(srcf.data(), nsrc, d, tgt, out, accumulate);
-    return;
-  }
-  if (!accumulate) out.fill(cplx(0.0));
-  PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
-  std::vector<size_t> active;
-  active.reserve(nsrc);
-  for (size_t i = 0; i < nsrc; ++i)
-    if (d[i] != 0.0) active.push_back(i);
-  if (active.empty()) return;
-
-  la::MatC tgt_grid;
-  map_->to_real_batch(tgt, tgt_grid);
-  const size_t ntgt = tgt.cols();
-  std::vector<real_t> tgt_r(ntgt * ng);
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t j = 0; j < ntgt; ++j)
-    for (size_t r = 0; r < ng; ++r)
-      tgt_r[j * ng + r] = tgt_grid.col(j)[r].real();
-  pair_accumulate_real_blocks<real_t, cplx>(src_real, d, active, tgt_r.data(),
-                                            ntgt, out);
-}
-
-void ExchangeOperator::apply_diag_realspace_real(const realf_t* src_real,
-                                                 size_t nsrc, const real_t* d,
-                                                 const la::MatC& tgt,
-                                                 la::MatC& out,
-                                                 bool accumulate) const {
-  if (!accumulate) out.fill(cplx(0.0));
-  PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
-  std::vector<size_t> active;
-  active.reserve(nsrc);
-  for (size_t i = 0; i < nsrc; ++i)
-    if (d[i] != 0.0) active.push_back(i);
-  if (active.empty()) return;
-
-  const size_t ng = map_->grid().size();
-  la::MatCf tgt_grid;
-  map_->to_real_batch(tgt, tgt_grid);
-  const size_t ntgt = tgt.cols();
-  std::vector<realf_t> tgt_r(ntgt * ng);
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t j = 0; j < ntgt; ++j)
-    for (size_t r = 0; r < ng; ++r)
-      tgt_r[j * ng + r] = tgt_grid.col(j)[r].real();
-  pair_accumulate_real_blocks<realf_t, cplxf>(src_real, d, active,
-                                              tgt_r.data(), ntgt, out);
-}
 
 // Shared batched block engine for the diag paths, templated over the slab
 // scalar: CS = cplx runs the FP64 pipeline, CS = cplxf the FP32 one (pair

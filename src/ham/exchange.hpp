@@ -16,6 +16,10 @@
 //                        phi' = Phi Q, then apply_diag (Sec. IV-A1).
 // All produce identical results (tests enforce agreement to 1e-12).
 //
+// Every path runs complex pair densities conj(phi_i) psi_j through complex
+// FFTs: PT-IM propagates complex orbitals, so there is no real-field
+// (Γ-point, r2c) variant of the pipeline.
+//
 // Precision policy (ExchangeOptions::precision): with Precision::kSingle
 // the pair densities, their FFTs and the kernel multiply run in FP32 —
 // sources and targets are down-converted once at the real-space edge — while
@@ -52,21 +56,6 @@ struct ExchangeOptions {
   // reference) or kHostAsync (the slab transfer overlaps the previous
   // slab's compute). Bit-identical in both.
   backend::Kind backend = backend::default_kind();
-  // Γ-point real-wavefunction fast path. At the Γ point orbitals can be
-  // chosen real, so every pair density conj(phi_i) psi_j is a REAL field
-  // and two of them ride one complex FFT lane (z = rho_a + i rho_b). The
-  // screened kernel K(G) is real and even, so filtering the packed lane
-  // filters both densities exactly — no spectrum unscramble is needed and
-  // the pair-FFT count HALVES (2*ceil(nb/2) per target instead of 2*nb).
-  // Enabling this is a detection gate, not a promise: every dense diag
-  // apply checks at runtime that its sources and targets are real in real
-  // space and falls back BITWISE to the complex pipeline when they are not
-  // (propagated RT-TDDFT orbitals are complex, so golden trajectories are
-  // unaffected). Within the real path, results are bitwise-invariant
-  // across batch sizes and distributed circulation patterns (pinned in
-  // tests); agreement with the complex pipeline on real orbitals is ~1e-13
-  // relative (the packed path drops the complex path's imaginary dust).
-  bool gamma_real = false;
 };
 
 class ExchangeOperator {
@@ -94,12 +83,6 @@ class ExchangeOperator {
   // is a pure throughput knob. A width of 0 throws (as in the constructor).
   void set_batch_size(size_t bs);
   size_t batch_size() const { return opt_.batch_size; }
-
-  // Γ-point real-pair fast path (see ExchangeOptions::gamma_real). Safe to
-  // toggle at any time: applies whose fields are not actually real fall
-  // back bitwise to the complex pipeline.
-  void set_gamma_real(bool on) { opt_.gamma_real = on; }
-  bool gamma_real() const { return opt_.gamma_real; }
 
   // out (+)= alpha*Vx*tgt with sources (src, d). src/tgt/out: npw x nband.
   void apply_diag(const la::MatC& src, const std::vector<real_t>& d,
@@ -167,19 +150,6 @@ class ExchangeOperator {
     pair_accumulate_f32(src_real, nsrc, d, tgt, out, accumulate);
   }
 
-  // Γ-point variants for REAL circulating slabs (dist layer, gamma_real
-  // mode): nsrc purely real real-space orbitals stored contiguously. The
-  // caller must have verified that the TARGETS are real too (the dist
-  // layer agrees on this across ranks before switching to real payloads);
-  // their imaginary parts are dropped here. Ring bytes halve versus the
-  // complex slabs above (quarter, for the float variant versus cplx).
-  void apply_diag_realspace_real(const real_t* src_real, size_t nsrc,
-                                 const real_t* d, const la::MatC& tgt,
-                                 la::MatC& out, bool accumulate) const;
-  void apply_diag_realspace_real(const realf_t* src_real, size_t nsrc,
-                                 const real_t* d, const la::MatC& tgt,
-                                 la::MatC& out, bool accumulate) const;
-
   // Generalized pair accumulation for the distributed mixed-state (full
   // sigma) path: the scalar occupation d_k is replaced by a real-space
   // weight field w_k = Theta_k = sum_i sigma_ik phi_i, so
@@ -204,8 +174,7 @@ class ExchangeOperator {
   // idx[i] of src_real (the compressed active-occupation list).
   //
   // Each stage is one template over the slab scalar (CS = cplx for the FP64
-  // pipeline, cplxf for FP32; RS = real_t/realf_t the matching real scalar),
-  // explicitly instantiated in exchange.cpp. nloc is the per-orbital element
+  // pipeline, cplxf for FP32), explicitly instantiated in exchange.cpp. nloc is the per-orbital element
   // count (column stride and loop bound): map().grid().size() for the
   // rank-local paths, the z-slab size for the 2-D band x grid layout. The
   // unscaled-synthesis weight always uses the GLOBAL grid size (it undoes
@@ -234,37 +203,9 @@ class ExchangeOperator {
   void accumulate_weighted_block(const CS* weight_real, const size_t* idx,
                                  size_t nb, const CS* block, cplx* acc,
                                  size_t nloc) const;
-  // Γ-point real-pair stages (gamma_real fast path). Two real pair
-  // densities ride each complex FFT lane, so a block of nb densities packs
-  // into ceil(nb/2) lanes and goes through the SAME kernel_filter_block as
-  // the complex pipeline (K(G) is real-even, so filtering the packed lane
-  // filters both residents exactly — no unscramble).
-  //
-  // pair_pack_block_real: lane q gets
-  //   block[q] = src[idx[2q]] ⊙ tgt  +  i * src[idx[2q+1]] ⊙ tgt
-  // (an odd trailing density rides a zero imaginary part).
-  template <typename RS, typename CS>
-  void pair_pack_block_real(const RS* src_real, const size_t* idx, size_t nb,
-                            const RS* tgt_real, CS* block, size_t nloc) const;
-  // accumulate_block_real: acc[r] += d[idx[i]]*Ng * src[idx[i]](r) *
-  // lane_part_i(r), where lane_part_i is Re (even i) or Im (odd i) of lane
-  // i/2. FP64 accumulation regardless of the block scalar.
-  template <typename RS, typename CS>
-  void accumulate_block_real(const RS* src_real, const size_t* idx,
-                             const real_t* d, size_t nb, const CS* block,
-                             real_t* acc, size_t nloc) const;
-
   // gather_accumulate: out_col[p] += -alpha * to_sphere(acc)[p]. scratch
   // must hold npw elements; always FP64 (the paper keeps the gather exact).
   void gather_accumulate(const cplx* acc, cplx* scratch, cplx* out_col) const;
-
-  // Γ-point realness criterion shared by the gate above and the dist layer
-  // (every rank must apply the SAME test before agreeing on real ring
-  // payloads): max |Im| <= tol * max |Re| over the field, with tol far
-  // above the precision's FFT imaginary dust and far below any genuine
-  // complex phase. An all-zero field counts as real.
-  static bool field_is_real(const cplx* v, size_t n);
-  static bool field_is_real(const cplxf* v, size_t n);
 
   // Real-space transform helper for the distributed paths.
   const pw::SphereGridMap& map() const { return *map_; }
@@ -306,28 +247,6 @@ class ExchangeOperator {
   void pair_accumulate_blocks(const CS* src_real, const real_t* d,
                               const std::vector<size_t>& active,
                               const la::MatC& tgt, la::MatC& out) const;
-  // Γ-point real engine (RS = real_t/realf_t with CS = cplx/cplxf the
-  // matching packed-lane scalar): blocks of 2*batch_size REAL pair
-  // densities ride batch_size complex FFT lanes. Block boundaries sit at
-  // EVEN density offsets, so which two densities share a lane — and hence
-  // every transformed value and the in-order FP64 accumulation — is
-  // independent of batch_size: bitwise-invariant across widths. Targets
-  // arrive pre-transformed (ntgt real fields, extracted by the callers'
-  // realness gate).
-  template <typename RS, typename CS>
-  void pair_accumulate_real_blocks(const RS* src_real, const real_t* d,
-                                   const std::vector<size_t>& active,
-                                   const RS* tgt_real, size_t ntgt,
-                                   la::MatC& out) const;
-  // Realness gate shared by pair_accumulate / pair_accumulate_f32: if
-  // every active source and every target is real in real space, runs the
-  // real engine and returns true; otherwise returns false and the caller
-  // falls through to the complex pipeline (bitwise-identical to
-  // gamma_real == false).
-  template <typename RS, typename CS>
-  bool try_gamma_real(const CS* src_real, size_t nsrc, const real_t* d,
-                      const std::vector<size_t>& active, const la::MatC& tgt,
-                      la::MatC& out) const;
   template <typename CS>
   void weighted_blocks(const CS* src_real, const CS* weight_real, size_t nsrc,
                        const la::MatC& tgt, la::MatC& out) const;

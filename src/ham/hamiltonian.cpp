@@ -78,11 +78,6 @@ void Hamiltonian::set_exchange_source_diag(la::MatC phi,
 
 void Hamiltonian::set_exchange_source_mixed(la::MatC phi, la::MatC sigma) {
   PTIM_CHECK(sigma.rows() == phi.cols() && sigma.cols() == phi.cols());
-  if (xmode_ == ExchangeMode::kExactNaive) {
-    xsrc_phi_ = std::move(phi);
-    xsrc_sigma_ = std::move(sigma);
-    return;
-  }
   // Diag path: rotate once here so every subsequent apply is O(N^2) FFTs.
   la::hermitize(sigma);
   const auto eig = la::eig_herm(sigma);
@@ -153,9 +148,6 @@ void Hamiltonian::apply_exchange(const la::MatC& phi, la::MatC& out,
         out.resize(phi.rows(), phi.cols());
         out.fill(cplx(0.0));
       }
-      return;
-    case ExchangeMode::kExactNaive:
-      xop_.apply_mixed_naive(xsrc_phi_, xsrc_sigma_, phi, out, accumulate);
       return;
     case ExchangeMode::kExactDiag:
       xop_.apply_diag(xsrc_phi_, xsrc_occ_, phi, out, accumulate);

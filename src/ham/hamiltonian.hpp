@@ -8,10 +8,10 @@
 // an optional extra local potential on the density grid (length gauge for
 // molecule-in-box systems).
 //
-// The exchange term runs in one of four modes matching the paper's
-// optimization ladder: none (semilocal), exact with the naive Alg. 2 triple
-// loop (baseline), exact after sigma diagonalization ("Diag"), or through
-// an ACE surrogate ("ACE").
+// The exchange term runs in one of three modes: none (semilocal), exact
+// after sigma diagonalization ("Diag"), or through an ACE surrogate
+// ("ACE"). The naive Alg. 2 baseline lives in the band-distributed layer
+// (BandExchangeMode::kMixedNaive in dist/band_ham).
 
 #include <memory>
 #include <optional>
@@ -35,7 +35,7 @@ struct HamiltonianOptions {
   real_t kb_d0 = 0.0;
 };
 
-enum class ExchangeMode { kNone, kExactNaive, kExactDiag, kAce };
+enum class ExchangeMode { kNone, kExactDiag, kAce };
 
 struct EnergyTerms {
   real_t kinetic = 0.0;
@@ -81,11 +81,6 @@ class Hamiltonian {
   // throughput knob; bit-identical across widths).
   void set_exchange_batch(size_t bs) { xop_.set_batch_size(bs); }
   size_t exchange_batch() const { return xop_.batch_size(); }
-  // Γ-point real-wavefunction fast path of the exchange pair pipeline
-  // (detection-gated; complex orbitals fall back bitwise — see
-  // ham/exchange.hpp).
-  void set_exchange_gamma_real(bool on) { xop_.set_gamma_real(on); }
-  bool exchange_gamma_real() const { return xop_.gamma_real(); }
   void set_ace(AceOperator ace) { ace_ = std::move(ace); xmode_ = ExchangeMode::kAce; }
   const AceOperator& ace() const { return ace_; }
 
@@ -143,9 +138,8 @@ class Hamiltonian {
 
   // Exchange source state.
   ExchangeMode xmode_ = ExchangeMode::kNone;
-  la::MatC xsrc_phi_;             // rotated orbitals (diag mode) or raw
-  std::vector<real_t> xsrc_occ_;  // eigen-occupations (diag mode)
-  la::MatC xsrc_sigma_;           // full sigma (naive mode)
+  la::MatC xsrc_phi_;             // orbitals in sigma's eigenbasis
+  std::vector<real_t> xsrc_occ_;  // eigen-occupations
   AceOperator ace_;
 
   void rebuild_vtot();

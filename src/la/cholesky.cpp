@@ -109,11 +109,4 @@ void solve_upper_right(const MatC& L, MatC& B) {
   }
 }
 
-MatC hpd_inverse(const MatC& A) {
-  const MatC L = cholesky(A);
-  MatC inv = MatC::identity(A.rows());
-  cholesky_solve(L, inv);
-  return inv;
-}
-
 }  // namespace ptim::la

@@ -22,7 +22,4 @@ void cholesky_solve(const MatC& L, MatC& B);
 // basis transform xi = W * L^{-H}.
 void solve_upper_right(const MatC& L, MatC& B);
 
-// Inverse of a Hermitian positive definite matrix via Cholesky.
-MatC hpd_inverse(const MatC& A);
-
 }  // namespace ptim::la

@@ -276,120 +276,6 @@ TEST(ExchangeDist, MixedLocalMatchesSerialNaive) {
   }
 }
 
-TEST(ExchangeDist, GammaRealMatchesSerialAndIsPatternInvariant) {
-  // Γ-point distributed fast path: with real orbitals on every rank, REAL
-  // slabs circulate and the per-origin staged reduction makes the result
-  // bitwise-IDENTICAL across the three circulation patterns (the complex
-  // path only promises per-pattern determinism — its accumulation order
-  // follows slab arrival). Also pinned against the serial gamma apply.
-  XEnv e;
-  ham::ExchangeOptions opt;
-  opt.gamma_real = true;
-  ham::ExchangeOperator xg{e.map, opt};
-  const size_t npw = e.sys.sphere->npw();
-  const size_t nb = 5;  // odd band count, non-divisible on 4 ranks
-  const la::MatC src = test::random_real_orbitals(e.map, nb, 430);
-  const la::MatC tgt = test::random_real_orbitals(e.map, nb, 431);
-  const std::vector<real_t> d{1.0, 0.8, 0.5, 0.3, 0.0};
-
-  la::MatC ref(npw, nb);
-  xg.apply_diag(src, d, tgt, ref);
-
-  const int p = 4;
-  const dist::BlockLayout sb(nb, p), tb(nb, p);
-  std::vector<std::vector<la::MatC>> by_pattern;
-  for (const auto pat :
-       {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
-        dist::ExchangePattern::kAsyncRing}) {
-    std::vector<la::MatC> blocks(static_cast<size_t>(p));
-    ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
-      const int me = c.rank();
-      const std::vector<real_t> d_local(
-          d.begin() + static_cast<long>(sb.offset(me)),
-          d.begin() + static_cast<long>(sb.offset(me) + sb.count(me)));
-      blocks[static_cast<size_t>(me)] = dist::exchange_apply_distributed_local(
-          c, xg, dist::scatter_bands(src, sb, me), d_local,
-          dist::scatter_bands(tgt, tb, me), sb, pat);
-    });
-    for (int r = 0; r < p; ++r) {
-      const auto& blk = blocks[static_cast<size_t>(r)];
-      for (size_t b = 0; b < tb.count(r); ++b)
-        for (size_t i = 0; i < npw; ++i)
-          EXPECT_NEAR(std::abs(blk(i, b) - ref(i, tb.offset(r) + b)), 0.0,
-                      1e-10)
-              << dist::pattern_name(pat);
-    }
-    by_pattern.push_back(std::move(blocks));
-  }
-  for (size_t k = 1; k < by_pattern.size(); ++k)
-    for (int r = 0; r < p; ++r)
-      EXPECT_EQ(la::frob_diff(by_pattern[k][static_cast<size_t>(r)],
-                              by_pattern[0][static_cast<size_t>(r)]),
-                0.0)
-          << "pattern " << k << " rank " << r;
-}
-
-TEST(ExchangeDist, GammaRealHalvesRingBytes) {
-  // The gamma circulation moves real_t slabs where the complex one moves
-  // cplx — exactly half the Sendrecv bytes per rank on the ring pattern.
-  XEnv e;
-  ham::ExchangeOptions opt;
-  opt.gamma_real = true;
-  ham::ExchangeOperator xg{e.map, opt};
-  const size_t nb = 6;
-  const la::MatC src = test::random_real_orbitals(e.map, nb, 432);
-  const la::MatC tgt = test::random_real_orbitals(e.map, nb, 433);
-  const std::vector<real_t> d{1.0, 0.9, 0.7, 0.4, 0.2, 0.1};
-
-  const int p = 4;
-  auto ring_bytes = [&](const ham::ExchangeOperator& x) {
-    ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
-      (void)test::exchange_block(c, x, src, d, tgt,
-                                 dist::ExchangePattern::kRing);
-    });
-    long long bytes = 0;
-    for (const auto& s : ptmpi::last_run_stats())
-      bytes += s.ops.at("Sendrecv").bytes;
-    return bytes;
-  };
-  const long long complex_bytes = ring_bytes(e.xop);
-  const long long gamma_bytes = ring_bytes(xg);
-  EXPECT_EQ(2 * gamma_bytes, complex_bytes);
-}
-
-TEST(ExchangeDist, GammaRealComplexOrbitalsFallBackBitwise) {
-  // Complex orbitals anywhere must fail the rank vote; the apply then runs
-  // the complex circulation bit-for-bit as with gamma_real off.
-  XEnv e;
-  ham::ExchangeOptions opt;
-  opt.gamma_real = true;
-  ham::ExchangeOperator xg{e.map, opt};
-  const size_t nb = 5;
-  const la::MatC src = test::random_orbitals(e.sys.sphere->npw(), nb, 434);
-  const la::MatC tgt = test::random_orbitals(e.sys.sphere->npw(), nb, 435);
-  const std::vector<real_t> d{1.0, 0.8, 0.5, 0.3, 0.1};
-
-  const int p = 3;
-  for (const auto pat :
-       {dist::ExchangePattern::kBcast, dist::ExchangePattern::kAsyncRing}) {
-    std::vector<la::MatC> off(static_cast<size_t>(p)),
-        on(static_cast<size_t>(p));
-    ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
-      off[static_cast<size_t>(c.rank())] =
-          test::exchange_block(c, e.xop, src, d, tgt, pat);
-    });
-    ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
-      on[static_cast<size_t>(c.rank())] =
-          test::exchange_block(c, xg, src, d, tgt, pat);
-    });
-    for (int r = 0; r < p; ++r)
-      EXPECT_EQ(la::frob_diff(off[static_cast<size_t>(r)],
-                              on[static_cast<size_t>(r)]),
-                0.0)
-          << dist::pattern_name(pat) << " rank " << r;
-  }
-}
-
 // ------------------------------------------------------------- rotation ---
 
 class RotateParam : public ::testing::TestWithParam<int> {};

@@ -277,145 +277,6 @@ TEST(ExchangeBatch, RejectsZeroWidth) {
   EXPECT_EQ(e.xop.batch_size(), bs);
 }
 
-// --------------------------------------------------- Γ-point fast path ----
-
-TEST(ExchangeGamma, MatchesComplexWithHalvedFftCount) {
-  // Real orbitals: the packed real-pair pipeline agrees with the complex
-  // one to rounding and performs HALF the pair transforms per target —
-  // 2*ceil(nb/2) instead of 2*nb (odd nb exercises the zero-padded lane).
-  test::TinySystem sys = test::TinySystem::make(3.0);
-  pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
-  const size_t npw = sys.sphere->npw();
-  const size_t nb = 5;  // odd
-  const la::MatC phi = test::random_real_orbitals(map, nb, 801);
-  const la::MatC tgt = test::random_real_orbitals(map, 3, 802);
-  const std::vector<real_t> d{1.0, 0.8, 0.5, 0.3, 0.1};
-
-  ham::ExchangeOperator xc(map, {});
-  la::MatC out_c(npw, 3);
-  xc.fft_count = 0;
-  xc.apply_diag(phi, d, tgt, out_c);
-  EXPECT_EQ(xc.fft_count, static_cast<long>(2 * nb * 3));
-
-  ham::ExchangeOptions go;
-  go.gamma_real = true;
-  ham::ExchangeOperator xg(map, go);
-  la::MatC out_g(npw, 3);
-  xg.fft_count = 0;
-  xg.apply_diag(phi, d, tgt, out_g);
-  EXPECT_EQ(xg.fft_count, static_cast<long>(2 * ((nb + 1) / 2) * 3));
-
-  EXPECT_LT(la::frob_diff(out_c, out_g), 1e-12 * la::frob_norm(out_c));
-}
-
-TEST(ExchangeGamma, BitwiseInvariantAcrossBatchSizes) {
-  // Block boundaries sit at even density offsets, so lane pairing and the
-  // in-order FP64 accumulation never depend on the block width.
-  test::TinySystem sys = test::TinySystem::make(3.0);
-  pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
-  const size_t npw = sys.sphere->npw();
-  const size_t nb = 7;
-  const la::MatC phi = test::random_real_orbitals(map, nb, 803);
-  const la::MatC tgt = test::random_real_orbitals(map, 2, 804);
-  std::vector<real_t> d(nb, 0.5);
-  d[2] = 0.0;  // occupation compression inside a block
-
-  la::MatC ref;
-  for (const size_t bs : {size_t(1), size_t(2), size_t(3), size_t(8),
-                          size_t(16)}) {
-    ham::ExchangeOptions opt;
-    opt.gamma_real = true;
-    opt.batch_size = bs;
-    ham::ExchangeOperator xop(map, opt);
-    la::MatC out(npw, 2);
-    xop.fft_count = 0;
-    xop.apply_diag(phi, d, tgt, out);
-    // 6 active densities -> 3 packed lanes per target at every width.
-    EXPECT_EQ(xop.fft_count, static_cast<long>(2 * 3 * 2))
-        << "batch_size=" << bs;
-    if (ref.size() == 0) {
-      ref = out;
-    } else {
-      EXPECT_EQ(la::frob_diff(out, ref), 0.0) << "batch_size=" << bs;
-    }
-  }
-}
-
-TEST(ExchangeGamma, ComplexOrbitalsFallBackBitwise) {
-  // The gate transforms/inspects but must not change a single bit when the
-  // fields are genuinely complex.
-  Env e;
-  const size_t npw = e.sys.sphere->npw();
-  const size_t nb = 4;
-  const la::MatC phi = test::random_orbitals(npw, nb, 805);
-  const la::MatC tgt = test::random_orbitals(npw, 2, 806);
-  const std::vector<real_t> d{1.0, 0.7, 0.4, 0.1};
-
-  la::MatC out_off(npw, 2), out_on(npw, 2);
-  e.xop.apply_diag(phi, d, tgt, out_off);
-  ham::ExchangeOptions go;
-  go.gamma_real = true;
-  ham::ExchangeOperator xg(e.map, go);
-  xg.apply_diag(phi, d, tgt, out_on);
-  EXPECT_EQ(la::frob_diff(out_off, out_on), 0.0);
-
-  // Real sources but complex targets must also fall back bitwise.
-  const la::MatC rphi = test::random_real_orbitals(e.map, nb, 807);
-  la::MatC a(npw, 2), b(npw, 2);
-  e.xop.apply_diag(rphi, d, tgt, a);
-  xg.apply_diag(rphi, d, tgt, b);
-  EXPECT_EQ(la::frob_diff(a, b), 0.0);
-}
-
-TEST(ExchangeGamma, ComposesWithFp32Precision) {
-  // The FP32 pipeline takes the same packed real path: halved transform
-  // count, FP32-level agreement with the FP64 gamma apply.
-  test::TinySystem sys = test::TinySystem::make(3.0);
-  pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
-  const size_t npw = sys.sphere->npw();
-  const size_t nb = 4;
-  const la::MatC phi = test::random_real_orbitals(map, nb, 808);
-  const la::MatC tgt = test::random_real_orbitals(map, 2, 809);
-  const std::vector<real_t> d{1.0, 0.8, 0.5, 0.2};
-
-  ham::ExchangeOptions go;
-  go.gamma_real = true;
-  ham::ExchangeOperator xg(map, go);
-  la::MatC ref(npw, 2);
-  xg.apply_diag(phi, d, tgt, ref);
-
-  ham::ExchangeOptions opt = go;
-  opt.precision = Precision::kSingle;
-  ham::ExchangeOperator xf(map, opt);
-  la::MatC out(npw, 2);
-  xf.fft_count = 0;
-  xf.apply_diag(phi, d, tgt, out);
-  EXPECT_EQ(xf.fft_count, static_cast<long>(2 * ((nb + 1) / 2) * 2));
-  EXPECT_LT(la::frob_diff(out, ref), 1e-5 * la::frob_norm(ref));
-}
-
-TEST(ExchangeGamma, MixedDiagInheritsGate) {
-  // apply_mixed_diag rotates sources with complex eigenvector weights, so
-  // even real orbitals generally leave the rotation complex — the gate
-  // must keep the result identical to gamma off. (A real sigma with real
-  // orbitals CAN stay real; either way the numbers must match.)
-  Env e;
-  const size_t npw = e.sys.sphere->npw();
-  const size_t nb = 4;
-  const la::MatC phi = test::random_real_orbitals(e.map, nb, 812);
-  const la::MatC sigma = test::random_occupation_matrix(nb, 813);
-  const la::MatC tgt = test::random_real_orbitals(e.map, 2, 814);
-
-  la::MatC out_off(npw, 2), out_on(npw, 2);
-  e.xop.apply_mixed_diag(phi, sigma, tgt, out_off);
-  ham::ExchangeOptions go;
-  go.gamma_real = true;
-  ham::ExchangeOperator xg(e.map, go);
-  xg.apply_mixed_diag(phi, sigma, tgt, out_on);
-  EXPECT_LT(la::frob_diff(out_off, out_on),
-            1e-11 * std::max(la::frob_norm(out_off), 1.0));
-}
-
 // ---------------------------------------------------------------- ACE ----
 
 TEST(Ace, ExactOnConstructingOrbitals) {

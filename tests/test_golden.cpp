@@ -54,14 +54,13 @@ td::TdState initial_state(size_t npw) {
 // DEDICATED observation Hamiltonian (the propagators mutate the exchange
 // configuration of theirs, which would leak into the Fock energy term).
 struct Observer {
-  explicit Observer(test::TinySystem& sys, bool gamma = false)
+  explicit Observer(test::TinySystem& sys)
       : sys_(&sys),
         h_(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid, *sys.den_grid,
            ham::HamiltonianOptions{}) {
     // Any non-kNone mode includes the Fock term; energy() evaluates it from
     // the passed (phi, sigma), not from stored sources.
     h_.set_exchange_mode(ham::ExchangeMode::kExactDiag);
-    h_.set_exchange_gamma_real(gamma);
   }
 
   test::GoldenStep operator()(const td::TdState& s) {
@@ -81,10 +80,8 @@ struct Observer {
 };
 
 // Serial reference trajectory.
-std::vector<test::GoldenStep> run_serial(test::TinySystem& sys,
-                                         bool gamma = false) {
-  Observer observe(sys, gamma);
-  sys.ham->set_exchange_gamma_real(gamma);
+std::vector<test::GoldenStep> run_serial(test::TinySystem& sys) {
+  Observer observe(sys);
   td::TdState s = initial_state(sys.sphere->npw());
   td::PtImPropagator prop(*sys.ham, ptim_options(), nullptr);
   std::vector<test::GoldenStep> out;
@@ -99,8 +96,7 @@ std::vector<test::GoldenStep> run_serial(test::TinySystem& sys,
 // Full states are gathered per step and observed with the serial ruler.
 std::vector<test::GoldenStep> run_distributed(test::TinySystem& sys,
                                               dist::ProcessGrid pgrid,
-                                              dist::ExchangePattern pattern,
-                                              bool gamma = false) {
+                                              dist::ExchangePattern pattern) {
   const int nranks = pgrid.resolve_pb(pgrid.pb * pgrid.pg) * pgrid.pg;
   const dist::BlockLayout bands(kBands, pgrid.pb);
   const td::TdState init = initial_state(sys.sphere->npw());
@@ -109,7 +105,6 @@ std::vector<test::GoldenStep> run_distributed(test::TinySystem& sys,
     auto h = std::make_unique<ham::Hamiltonian>(
         *sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid, *sys.den_grid,
         ham::HamiltonianOptions{});
-    h->set_exchange_gamma_real(gamma);
     dist::BandHamOptions bopt;
     bopt.pattern = pattern;
     if (pgrid.pg > 1) bopt.grid = pgrid;
@@ -123,7 +118,7 @@ std::vector<test::GoldenStep> run_distributed(test::TinySystem& sys,
       if (c.rank() == 0) traj[static_cast<size_t>(i)] = full;
     }
   });
-  Observer observe(sys, gamma);
+  Observer observe(sys);
   std::vector<test::GoldenStep> out;
   for (const auto& s : traj) out.push_back(observe(s));
   return out;
@@ -190,24 +185,4 @@ TEST(Golden, TwoDGridMatchesFixture) {
       run_distributed(sys, dist::ProcessGrid{1, 3},
                       dist::ExchangePattern::kBcast),
       "2-D 1x3 bcast");
-}
-
-// The Γ-point gamma_real flag on a genuinely COMPLEX propagated trajectory:
-// the realness gate must detect the complex orbitals every step and fall
-// back to the complex pipeline bitwise, so all three configurations still
-// land on the same fixture. Any false-positive in the gate (filtering a
-// complex field through the packed real path) would show up here as a
-// fixture mismatch.
-TEST(Golden, GammaRealFlagMatchesFixture) {
-  if (std::getenv("PTIM_GOLDEN_REGEN")) GTEST_SKIP();
-  test::TinySystem sys = test::TinySystem::make(3.0);
-  expect_matches_fixture(run_serial(sys, /*gamma=*/true), "serial gamma");
-  expect_matches_fixture(
-      run_distributed(sys, dist::ProcessGrid{4, 1},
-                      dist::ExchangePattern::kAsyncRing, /*gamma=*/true),
-      "band-parallel p=4 gamma");
-  expect_matches_fixture(
-      run_distributed(sys, dist::ProcessGrid{2, 2},
-                      dist::ExchangePattern::kRing, /*gamma=*/true),
-      "2-D 2x2 ring gamma");
 }

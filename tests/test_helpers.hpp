@@ -91,26 +91,6 @@ inline la::MatC random_orbitals(size_t npw, size_t nb, unsigned seed) {
   return phi;
 }
 
-// Orthonormal Γ-point REAL orbitals: random real grid fields gathered to
-// the sphere (conjugate-symmetric coefficients by construction), then
-// Löwdin-orthonormalized — S is real symmetric for real fields, so S^{-1/2}
-// mixes with real weights and the orbitals stay real in real space to
-// rounding (~1e-16 relative imaginary dust, inside the gamma_real gate).
-inline la::MatC random_real_orbitals(const pw::SphereGridMap& map, size_t nb,
-                                     unsigned seed) {
-  const size_t ng = map.grid().size();
-  const size_t npw = map.sphere().npw();
-  Rng rng(seed);
-  la::MatC phi(npw, nb);
-  std::vector<cplx> field(ng);
-  for (size_t b = 0; b < nb; ++b) {
-    for (auto& v : field) v = cplx(rng.uniform() - 0.5, 0.0);
-    map.to_sphere(field.data(), phi.col(b));
-  }
-  pw::orthonormalize_lowdin(phi);
-  return phi;
-}
-
 // This rank's block of alpha*Vx[src,d]*tgt from full (replicated) inputs:
 // slices src, d and tgt over c.size() ranks with BlockLayout and calls the
 // rank-local distributed exchange.
